@@ -160,8 +160,8 @@ def bench_vectorized(db, bindings_per_template: int, repeats: int) -> dict:
     disabled — the subject is re-costing throughput, not cache hits — and
     the batched results are verified byte-identical to the cold ones
     before any timing is believed (``results_identical``).
-    ``replayed_fraction`` reports how much of the corpus took the
-    plan-replay fast path rather than the substitution fallback.
+    ``replayed_fraction`` reports how much of the corpus was costed
+    through the template's plan skeleton rather than re-planned cold.
     """
     from repro.obs import Telemetry, use_telemetry
 
@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         args.vec_bindings = 8
 
     db = build_tpch(scale=args.scale, seed=3)
-    profiler = TemplateProfiler(db, BarberConfig(seed=0, use_fastpath=False))
+    profiler = TemplateProfiler(db, BarberConfig(seed=0))
     corpus = build_corpus(profiler, args.bindings)
 
     try:

@@ -72,10 +72,6 @@ class BarberConfig:
     # bit-identical across worker counts thanks to per-template seeding.
     workers: int = 1
     parallel_backend: str = "thread"  # 'thread' | 'process'
-    # Compile templates once and re-plan per binding instead of running the
-    # full lexer/parser/binder per EXPLAIN.  The differential suite pins
-    # this path byte-identical to the cold one.
-    use_fastpath: bool = True
 
     # -- repro.sqldb.vec: vectorized execution ------------------------------------
     # Run supported plans through the columnar batch executor instead of the

@@ -279,10 +279,9 @@ class TemplateProfiler:
         None: they are verdicts about the *template's resource behaviour*
         (strike material), not about the SQL being malformed.
         """
-        if (
-            self.config.use_fastpath
-            and self._custom_metric is None
-            and self.cost_metric in ("plan_cost", "cardinality")
+        if self._custom_metric is None and self.cost_metric in (
+            "plan_cost",
+            "cardinality",
         ):
             compiled = self._compiled_for(template)
             if compiled is not None:

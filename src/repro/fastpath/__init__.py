@@ -4,8 +4,9 @@ Three pieces, composable but independent:
 
 * :class:`ExplainCache` / :func:`normalize_sql` — memoize EXPLAIN results
   keyed by normalized SQL, invalidated by the catalog's statistics epoch;
-* :class:`CompiledTemplate` — parse/bind a template once, re-plan per
-  literal binding with no lexer/parser/binder on the hot path;
+* :class:`CompiledTemplate` — parse, bind, and prepare a template's plan
+  skeleton once, then run only the planner's costing pass per literal
+  binding;
 * :class:`ParallelProfiler` — fan template profiling across a thread or
   process pool with deterministic per-template seeding.
 
@@ -22,7 +23,6 @@ _EXPORTS = {
     "DEFAULT_CACHE_SIZE": ("repro.fastpath.cache", "DEFAULT_CACHE_SIZE"),
     "CompiledTemplate": ("repro.fastpath.compiled", "CompiledTemplate"),
     "literal_expression": ("repro.fastpath.compiled", "literal_expression"),
-    "substitute_placeholders": ("repro.fastpath.compiled", "substitute_placeholders"),
     "ParallelProfiler": ("repro.fastpath.parallel", "ParallelProfiler"),
 }
 

@@ -4,30 +4,35 @@ The cost-targeted loops (template profiling, Algorithm 2 refinement, the BO
 predicate search) evaluate the *same* template text under thousands of
 different literal bindings.  The cold path pays lexer + parser + binder +
 planner for every binding; only the literals change, so everything up to
-planning is recomputable work.
+costing is recomputable work.
 
 :class:`CompiledTemplate` hoists the invariant part: it parses the template
-text once and binds it once in the binder's *template mode* (placeholders
-bind to the type their rendered literal will have).  Re-costing a binding
-then only (1) renders the instantiated SQL for the cache key, and on a cache
-miss (2) deep-copies the bound AST with literal nodes substituted for the
-placeholders and (3) runs the planner — no lexing, parsing, or name
-resolution on the hot path.
+text once, binds it in the binder's *template mode* (placeholders bind to
+the type their rendered literal will have), and prepares a
+:class:`~repro.sqldb.planner.PlanSkeleton` from it — the planner's
+literal-independent phase.  Re-costing a binding then renders the SQL for
+the cache key and, on a miss, runs only the planner's costing pass over the
+binding's literals: no lexing, parsing, name resolution, or conjunct
+partitioning on the hot path.
 
-Correctness contract (enforced by ``tests/fastpath``): the substituted AST
-is structurally identical to what ``parse_select(instantiated_sql)`` +
-``Binder.bind`` would produce, so the resulting :class:`ExplainResult` is
-byte-identical to the cold pipeline.  Two guards protect the contract:
+Correctness contract (enforced by ``tests/fastpath`` and the
+``compiled_template`` fuzz oracle): the :class:`ExplainResult` is
+byte-identical to ``database.explain(template.instantiate(values))``,
+``plan_text`` included.  Cold planning is the same skeleton costed with no
+placeholders, so this holds by construction wherever a placeholder costs
+exactly like the literal it stands for.  Two cases re-plan the
+instantiated SQL cold instead:
 
-* compilation failures (e.g. a template the binder's template mode cannot
-  type) surface as exceptions the caller treats as "use the cold path";
-* a per-call type check compares each substituted literal's bound type to
-  the type the template was compiled under and silently re-plans cold when
-  they diverge (e.g. an out-of-int32-range value binding as BIGINT).
+* a per-call type guard compares each literal's bound type to the type the
+  template was compiled under (e.g. an out-of-int32-range value binds as
+  BIGINT);
+* templates with a placeholder in a GROUP BY or ORDER BY key, which EXPLAIN
+  prints.
 
-Statistics-epoch changes (DDL, data loads, re-analyze) invalidate the
-compiled bind the same way they invalidate the EXPLAIN cache: the next call
-recompiles against the current catalog.
+Compilation failures surface as exceptions the caller treats as "use the
+cold path".  Statistics-epoch changes (DDL, data loads, re-analyze)
+invalidate the skeleton the same way they invalidate the EXPLAIN cache:
+the next call recompiles against the current catalog.
 """
 
 from __future__ import annotations
@@ -35,15 +40,15 @@ from __future__ import annotations
 import datetime
 import math
 import threading
-from dataclasses import fields as dataclass_fields
 from typing import Mapping
 
 from repro.obs import current as current_telemetry
 from repro.sqldb import ast_nodes as ast
-from repro.sqldb.binder import Binder, BoundQuery, _literal_type
+from repro.sqldb.binder import Binder, _literal_type
 from repro.sqldb.errors import BindError
 from repro.sqldb.explain import ExplainResult, explain_plan
 from repro.sqldb.parser import parse_select
+from repro.sqldb.planner import Planner, PlanSkeleton
 from repro.sqldb.types import SqlType, days_to_date
 
 
@@ -93,42 +98,8 @@ def bound_literal_type(expression: ast.Expression) -> SqlType:
     return _literal_type(expression.value)
 
 
-def substitute_placeholders(
-    node: object,
-    values: Mapping[str, object],
-    render_types: Mapping[str, SqlType | None],
-):
-    """A deep copy of *node* with every Placeholder replaced by its literal.
-
-    Non-placeholder leaves (strings, numbers, enums) are shared, not copied:
-    binding never mutates them.  Each placeholder occurrence gets a fresh
-    literal node, so repeated placeholders stay independent.
-    """
-    if isinstance(node, ast.Placeholder):
-        if node.name not in values:
-            raise KeyError(f"no value for placeholder {{{node.name}}}")
-        return literal_expression(values[node.name], render_types.get(node.name))
-    if isinstance(node, ast.Node):
-        kwargs = {
-            f.name: _substitute_value(getattr(node, f.name), values, render_types)
-            for f in dataclass_fields(node)
-        }
-        return type(node)(**kwargs)
-    return node
-
-
-def _substitute_value(value, values, render_types):
-    if isinstance(value, ast.Node):
-        return substitute_placeholders(value, values, render_types)
-    if isinstance(value, list):
-        return [_substitute_value(item, values, render_types) for item in value]
-    if isinstance(value, tuple):
-        return tuple(_substitute_value(item, values, render_types) for item in value)
-    return value
-
-
 class CompiledTemplate:
-    """A template parsed and bound once, re-plannable per literal binding."""
+    """A template parsed, bound, and prepared once, costed per binding."""
 
     def __init__(self, database, template, placeholder_types: dict[str, SqlType]):
         """*placeholder_types* maps each placeholder to the *bound* type of
@@ -141,60 +112,53 @@ class CompiledTemplate:
         self._db = database
         self._template = template
         self._placeholder_types = dict(placeholder_types)
-        self._render_types = {
-            info.name: info.sql_type for info in template.placeholders
-        }
+        render_types = {info.name: info.sql_type for info in template.placeholders}
         # Per-placeholder (name, expected bound type, render type), hoisted
-        # out of the per-binding type-guard loop in _replan.
+        # out of the per-binding type guard.
         self._guard_specs = [
             (
                 name,
                 self._placeholder_types.get(name, SqlType.INTEGER),
-                self._render_types.get(name),
+                render_types.get(name),
             )
             for name in template.placeholder_names
         ]
         self._lock = threading.Lock()
-        self._state: tuple[int, BoundQuery, object | None] | None = None
-        self._bound()  # compile eagerly so failures surface at build time
+        self._state: tuple[int, PlanSkeleton | None] | None = None
+        self._skeleton()  # compile eagerly so failures surface at build time
 
     @property
     def template(self):
         return self._template
 
-    def _bound(self) -> BoundQuery:
-        return self._compiled_state()[1]
-
-    def _replayer(self):
-        """The pre-resolved planner replay for the current statistics epoch,
-        or ``None`` when the statement's plan shape cannot be replayed."""
-        return self._compiled_state()[2]
-
-    def _compiled_state(self) -> tuple[int, BoundQuery, object | None]:
+    def _skeleton(self) -> PlanSkeleton | None:
+        """The plan skeleton for the current statistics epoch, or ``None``
+        when EXPLAIN would print a placeholder (every binding then re-plans
+        its instantiated SQL)."""
         epoch = self._db.catalog.statistics_epoch
         with self._lock:
             if self._state is None or self._state[0] != epoch:
-                from .batch import PlanReplayer
-
-                statement = parse_select(self._template.sql)
-                binder = Binder(
-                    self._db.catalog, placeholder_types=self._placeholder_types
+                catalog = self._db.catalog
+                types = self._placeholder_types
+                bound = Binder(catalog, placeholder_types=types).bind(
+                    parse_select(self._template.sql)
                 )
-                bound = binder.bind(statement)
-                replayer = PlanReplayer.build(self._db, bound, self._render_types)
-                self._state = (epoch, bound, replayer)
-            return self._state
+                skeleton = Planner(catalog, placeholder_types=types).prepare(bound)
+                if skeleton.prints_placeholders:
+                    skeleton = None
+                self._state = (epoch, skeleton)
+            return self._state[1]
 
     def explain(self, values: Mapping[str, object]) -> ExplainResult:
         """EXPLAIN the template instantiated with *values*.
 
         Byte-identical to ``database.explain(template.instantiate(values))``
         — same result, same errors, same cache interaction — minus the
-        lex/parse/bind work on cache misses.
+        lex/parse/bind/prepare work on cache misses.
         """
         sql = self._template.instantiate(values)
         return self._db.explain_estimates(
-            sql, compute=lambda: self._replan(sql, values)
+            sql, compute=lambda: self._recost(sql, values)
         )
 
     def explain_many(self, bindings) -> list[ExplainResult]:
@@ -202,31 +166,29 @@ class CompiledTemplate:
 
         Equivalent to ``[self.explain(values) for values in bindings]`` —
         same results, same errors, same telemetry counters, same cache
-        interaction — and counted as one batched re-costing pass.  The
-        per-binding work is a :class:`~repro.fastpath.batch.PlanReplayer`
-        replay when the plan shape supports it, so re-costing thousands of
-        bindings costs one planner resolution plus a scalar cost replay per
-        binding.  With the EXPLAIN cache disabled there is no cache state
-        to maintain, so the batch also skips the per-call SQL rendering and
-        cache dispatch; with it enabled every binding goes through the
-        normal cache-aware path (hits and stored entries must match).
+        interaction — and counted as one batched re-costing pass.  With the
+        EXPLAIN cache disabled there is no cache state to maintain, so the
+        batch also skips the per-call SQL rendering and cache dispatch and
+        runs the skeleton's costing pass directly; with it enabled every
+        binding goes through the normal cache-aware path (hits and stored
+        entries must match).
         """
         bindings = list(bindings)
         telemetry = current_telemetry()
         telemetry.count("fastpath.compiled.batches")
         telemetry.count("fastpath.compiled.batched_explains", len(bindings))
         db = self._db
-        replayer = self._replayer()
-        if replayer is None or db._explain_cache_enabled:
+        skeleton = self._skeleton()
+        if skeleton is None or db.explain_cache_enabled:
             return [self.explain(values) for values in bindings]
         results: list[ExplainResult] = []
         for values in bindings:
-            literals: dict[str, object] = {}
+            literals: dict[str, ast.Expression] = {}
             mismatch = False
             deferred_bind_error: BindError | None = None
             # Mirror the per-call error order: instantiate's per-name
             # errors (missing placeholder, integer overflow) fire in place;
-            # BindError only ever comes from _replan's type guard, which
+            # BindError only ever comes from _recost's type guard, which
             # runs after the whole statement rendered — defer it.
             for name, expected, render_type in self._guard_specs:
                 if name not in values:
@@ -250,38 +212,27 @@ class CompiledTemplate:
                 raise deferred_bind_error
             results.append(
                 db._record_explain(
-                    lambda r=replayer, v=values, l=literals: r.explain(v, l)
+                    lambda l=literals: explain_plan(skeleton.plan(l))
                 )
             )
             telemetry.count("fastpath.compiled.explains")
             telemetry.count("fastpath.compiled.replayed")
         return results
 
-    def _replan(self, sql: str, values: Mapping[str, object]) -> ExplainResult:
-        bound = self._bound()
-        literals: dict[str, object] = {}
+    def _recost(self, sql: str, values: Mapping[str, object]) -> ExplainResult:
+        literals: dict[str, ast.Expression] = {}
         for name, expected, render_type in self._guard_specs:
             literal = literal_expression(values[name], render_type)
-            literals[name] = literal
             if bound_literal_type(literal) is not expected:
                 # The value binds differently than the compiled assumption
                 # (e.g. out-of-int32-range); re-plan cold for this call.
                 return explain_plan(self._db.plan(sql))
-        replayer = self._replayer()
-        if replayer is not None:
-            result = replayer.explain(values, literals)
-            telemetry = current_telemetry()
-            telemetry.count("fastpath.compiled.explains")
-            telemetry.count("fastpath.compiled.replayed")
-            return result
-        statement = substitute_placeholders(
-            bound.statement, values, self._render_types
-        )
-        current_telemetry().count("fastpath.compiled.explains")
-        replanned = BoundQuery(
-            statement=statement,
-            scope=bound.scope,
-            output_names=list(bound.output_names),
-            output_types=list(bound.output_types),
-        )
-        return explain_plan(self._db._planner.plan(replanned))
+            literals[name] = literal
+        skeleton = self._skeleton()
+        if skeleton is None:
+            return explain_plan(self._db.plan(sql))
+        result = explain_plan(skeleton.plan(literals))
+        telemetry = current_telemetry()
+        telemetry.count("fastpath.compiled.explains")
+        telemetry.count("fastpath.compiled.replayed")
+        return result

@@ -8,9 +8,9 @@ contract agree on a generated statement:
 * :class:`ExplainCacheOracle` — cached, uncached, and post-epoch-bump
   EXPLAIN results are byte-identical;
 * :class:`CompiledTemplateOracle` — templatizing the statement's WHERE
-  literals and re-costing through :class:`CompiledTemplate` (the fastpath)
-  matches the cold parse → bind → plan pipeline, on the original binding
-  and on a perturbed one;
+  literals and re-costing through :class:`CompiledTemplate` (the fastpath,
+  with the EXPLAIN cache off) matches the cold parse → bind → plan
+  pipeline, on the original binding and on one where every value differs;
 * :class:`ParallelProfilerOracle` — profiling templatized statements
   through :class:`ParallelProfiler` is bit-identical to the serial loop
   (batched: checked once over the accumulated templates at end of run);
@@ -35,6 +35,7 @@ runner.
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 
 from repro.core.config import BarberConfig
@@ -238,32 +239,54 @@ class CompiledTemplateOracle(Oracle):
             )
             for name, value in values.items()
         }
-        compiled = CompiledTemplate(ctx.db, template, types)
-        for binding in (values, _perturb(values)):
-            instantiated = template.instantiate(binding)
-            fast = compiled.explain(binding)
-            cold = explain_plan(ctx.db.plan(instantiated))
-            detail = _diff(f"compiled vs cold on {instantiated!r}", fast, cold)
-            if detail:
-                return detail
+        db = ctx.db
+        compiled = CompiledTemplate(db, template, types)
+        # Re-cost with the EXPLAIN cache off: the explain_cache oracle has
+        # already cached this statement's text, and a hit would compare
+        # the cache against the cold path instead of the compiled one.
+        cache_enabled = db.explain_cache_enabled
+        db.set_explain_cache(False)
+        try:
+            for binding in (values, _perturb(values)):
+                instantiated = template.instantiate(binding)
+                fast = compiled.explain(binding)
+                cold = explain_plan(db.plan(instantiated))
+                detail = _diff(
+                    f"compiled vs cold on {instantiated!r}", fast, cold
+                )
+                if detail:
+                    return detail
+        finally:
+            db.set_explain_cache(cache_enabled)
         return None
 
 
 def _perturb(values: dict) -> dict:
-    """A second, deterministic binding for the same template: numeric
-    values shift, text/date values keep their original (still exercises
-    the re-plan because the combined binding differs)."""
+    """A second, deterministic binding for the same template in which
+    every value differs: numbers shift, ISO dates move one day, other text
+    gains a suffix — so the second re-cost never repeats the first one's
+    SQL."""
     out = {}
     for name, value in values.items():
         if isinstance(value, bool):
-            out[name] = value
+            out[name] = not value
         elif isinstance(value, int):
             out[name] = value + 1
         elif isinstance(value, float):
             out[name] = value + 0.5
+        elif isinstance(value, str):
+            out[name] = _shift_text(value)
         else:
             out[name] = value
     return out
+
+
+def _shift_text(value: str) -> str:
+    try:
+        day = datetime.date.fromisoformat(value)
+    except ValueError:
+        return value + "x"
+    return (day + datetime.timedelta(days=1)).isoformat()
 
 
 class ParallelProfilerOracle(Oracle):

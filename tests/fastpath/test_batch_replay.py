@@ -1,11 +1,12 @@
 """Batched re-costing (``CompiledTemplate.explain_many``) differential tests.
 
 ``explain_many`` has a true fast path — with the EXPLAIN cache disabled it
-skips per-call SQL rendering and cache dispatch and replays the compiled
-plan directly — so this battery pins its contract: byte-identical results,
-identical telemetry counters, and identical errors to the equivalent
-per-call loop ``[compiled.explain(v) for v in bindings]``, which is itself
-pinned to the cold pipeline by ``test_differential_cache``.
+skips per-call SQL rendering and cache dispatch and runs the template's
+plan skeleton directly — so this battery pins its contract: byte-identical
+results, identical telemetry counters, and identical errors to the
+equivalent per-call loop ``[compiled.explain(v) for v in bindings]`` and to
+the cold pipeline.  ``fastpath.compiled.replayed`` counts the bindings
+costed through the skeleton rather than re-planned from their SQL.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from repro.obs import Telemetry, use_telemetry
 from repro.sqldb.errors import BindError
 from repro.sqldb.explain import explain_plan
 from repro.workload import SqlTemplate
+
+PROJECTION = SqlTemplate(
+    "batch_projection",
+    "select l_orderkey + {v1} from lineitem where l_quantity < {v2}",
+)
 
 TEMPLATES = [
     SqlTemplate(
@@ -55,13 +61,32 @@ TEMPLATES = [
         "where l_quantity > {v1} group by l_orderkey "
         "having avg(l_extendedprice) > {v2}",
     ),
+    PROJECTION,
+    # The synthesizer's nested-subquery and UNION ALL shapes.
+    SqlTemplate(
+        "batch_in_subquery",
+        "select c_name from customer c where c.c_nationkey in "
+        "(select n_nationkey from nation where n_regionkey > {v1})",
+    ),
+    SqlTemplate(
+        "batch_scalar_subquery",
+        "select o_orderkey from orders o "
+        "where o.o_totalprice + (select min(o_totalprice) from orders) * 2 > {v1}",
+    ),
+    SqlTemplate(
+        "batch_union_all",
+        "select c_name, c_acctbal from customer c where c.c_acctbal > {v1} "
+        "union all "
+        "select c_name, c_acctbal from customer c where c.c_nationkey < 10",
+    ),
 ]
 
-# Compiles but is *not* replayable (placeholder in the select list), so
-# explain_many must take the per-call fallback and still agree.
+# Compiles, but EXPLAIN prints its placeholder (the ORDER BY alias resolves
+# to a sort key holding {v1}), so every binding re-plans its SQL cold.
 UNREPLAYABLE = SqlTemplate(
-    "batch_projection",
-    "select l_orderkey + {v1} from lineitem where l_quantity < {v2}",
+    "batch_order_key",
+    "select l_orderkey, l_quantity + {v1} as q from lineitem "
+    "where l_quantity < {v2} order by q",
 )
 
 
@@ -96,14 +121,19 @@ class TestBatchedFastPath:
     def test_matches_per_call_loop_and_cold(self, db, profiler, template):
         compiled = profiler._compiled_for(template)
         assert compiled is not None
-        assert compiled._replayer() is not None, "expected a replayable plan"
         bindings = bindings_for(profiler, template)
+        telemetry = Telemetry()
         db.set_explain_cache(False)
         try:
-            batched = compiled.explain_many(bindings)
+            with use_telemetry(telemetry):
+                batched = compiled.explain_many(bindings)
             per_call = [compiled.explain(values) for values in bindings]
         finally:
             db.set_explain_cache(True)
+        # Every binding was costed through the template's skeleton.
+        assert telemetry.metrics.total("fastpath.compiled.replayed") == len(
+            bindings
+        )
         for values, fast, slow in zip(bindings, batched, per_call):
             assert fast == slow, values
             cold = explain_plan(db.plan(template.instantiate(values)))
@@ -164,17 +194,37 @@ class TestBatchedFastPath:
     def test_unreplayable_template_falls_back_per_call(self, db, profiler):
         compiled = profiler._compiled_for(UNREPLAYABLE)
         assert compiled is not None
-        assert compiled._replayer() is None
         bindings = bindings_for(profiler, UNREPLAYABLE, count=4)
+        telemetry = Telemetry()
         db.set_explain_cache(False)
         try:
-            batched = compiled.explain_many(bindings)
+            with use_telemetry(telemetry):
+                batched = compiled.explain_many(bindings)
         finally:
             db.set_explain_cache(True)
+        assert telemetry.metrics.total("fastpath.compiled.replayed") == 0
+        assert telemetry.metrics.total("sqldb.explain.calls") == len(bindings)
         for values, fast in zip(bindings, batched):
             assert fast == explain_plan(
                 db.plan(UNREPLAYABLE.instantiate(values))
             )
+
+    def test_negative_select_list_literal_costs_its_unary_minus(
+        self, db, profiler
+    ):
+        # A negative value renders as unary minus over a literal, one more
+        # operator for the projection to charge per row.
+        compiled = profiler._compiled_for(PROJECTION)
+        bindings = [{"v1": -5, "v2": 20}, {"v1": 5, "v2": 20}]
+        db.set_explain_cache(False)
+        try:
+            negative, positive = compiled.explain_many(bindings)
+        finally:
+            db.set_explain_cache(True)
+        assert negative == explain_plan(
+            db.plan(PROJECTION.instantiate(bindings[0]))
+        )
+        assert negative.total_cost > positive.total_cost
 
 
 class TestBatchedErrorParity:

@@ -4,19 +4,24 @@ The EXPLAIN cache is the only shared mutable state the fastpath adds to
 ``Database``; these tests drive it from N threads doing mixed
 explain/execute work while a DDL lands in the middle, and then verify the
 statistics-epoch contract directly: after a data change plus ANALYZE, a
-cached estimate must never be served stale.
+cached estimate must never be served stale.  A compiled template's plan
+skeleton is shared too (it memoizes residual filters on first use), so
+one test re-costs a single template from many threads at once.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.datasets import build_tpch
+from repro.fastpath import CompiledTemplate
 from repro.sqldb.explain import explain_plan
 from repro.sqldb.storage import Column, Table
 from repro.sqldb.types import SqlType
+from repro.workload import SqlTemplate
 
 NUM_THREADS = 8
 ITERATIONS = 30
@@ -156,3 +161,41 @@ def test_single_flight_counts_concurrent_misses_once(db):
     # waited on the in-flight computation or arrived after it finished.
     assert stats_after["misses"] == stats_before["misses"] + 1
     assert stats_after["hits"] == stats_before["hits"] + 5
+
+
+def test_shared_template_skeleton_recosts_identically_across_threads(db):
+    template = SqlTemplate(
+        "stress_residual",
+        "select c_name from customer c join orders o on c.c_custkey = o.o_custkey "
+        "where o.o_totalprice > c.c_acctbal * {v1} and o.o_totalprice < {v2}",
+    )
+    compiled = CompiledTemplate(
+        db, template, {"v1": SqlType.INTEGER, "v2": SqlType.DOUBLE}
+    )
+    bindings = [{"v1": k, "v2": 1000.0 * (k + 4)} for k in range(-3, 5)]
+    expected = [explain_plan(db.plan(template.instantiate(b))) for b in bindings]
+    errors: list[BaseException] = []
+    start = threading.Barrier(NUM_THREADS)
+
+    def worker() -> None:
+        try:
+            start.wait()
+            for _ in range(ITERATIONS):
+                assert compiled.explain_many(bindings) == expected
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(NUM_THREADS)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    db.set_explain_cache(False)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        db.set_explain_cache(True)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

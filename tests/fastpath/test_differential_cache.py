@@ -1,6 +1,6 @@
 """Differential battery: the fastpath must be byte-identical to the cold path.
 
-Every assertion here compares a fastpath result (compiled-template re-plan or
+Every assertion here compares a fastpath result (compiled-template re-cost or
 EXPLAIN-cache hit) against the cold full pipeline (lex → parse → bind → plan)
 on the same SQL.  ``ExplainResult`` is a frozen dataclass, so ``==`` compares
 estimated rows, startup cost, total cost, and the rendered plan text — any
@@ -100,34 +100,37 @@ def bindings_for(profiler, template, count=SAMPLES_PER_TEMPLATE):
     return lhs_configs(space, count, rng)
 
 
+@pytest.fixture
+def uncached(db):
+    """Compiled re-costs must reach the template, not an EXPLAIN cache hit."""
+    db.set_explain_cache(False)
+    yield db
+    db.set_explain_cache(True)
+
+
 class TestCompiledDifferential:
     @pytest.mark.parametrize("template", CORPUS, ids=lambda t: t.template_id)
-    def test_replan_matches_cold_pipeline(self, db, profiler, template):
+    def test_replan_matches_cold_pipeline(self, uncached, profiler, template):
         compiled = profiler._compiled_for(template)
         assert compiled is not None, f"{template.template_id} failed to compile"
         for values in bindings_for(profiler, template):
             sql = template.instantiate(values)
-            assert compiled._replan(sql, values) == cold_explain(db, sql), (
+            assert compiled.explain(values) == cold_explain(uncached, sql), (
                 template.template_id,
                 values,
             )
 
     @pytest.mark.parametrize("template", CORPUS, ids=lambda t: t.template_id)
-    def test_evaluate_matches_cold_evaluate(self, db, template):
-        fast = TemplateProfiler(db, BarberConfig(seed=0))
-        cold = TemplateProfiler(db, BarberConfig(seed=0, use_fastpath=False))
-        db.set_explain_cache(False)
-        try:
-            for values in bindings_for(fast, template):
-                assert fast.evaluate(template, values) == cold.evaluate(
-                    template, values
-                )
-        finally:
-            db.set_explain_cache(True)
+    def test_evaluate_matches_cold_evaluate(self, uncached, template):
+        fast = TemplateProfiler(uncached, BarberConfig(seed=0))
+        for values in bindings_for(fast, template):
+            cold = uncached.explain(template.instantiate(values))
+            assert fast.evaluate(template, values) == cold.total_cost
 
-    def test_generated_pool_differential(self, db, profiler):
+    def test_generated_pool_differential(self, uncached, profiler):
         """Randomly generated templates (the baseline pool generator) must
         also re-cost identically — the corpus above is not the only shape."""
+        db = uncached
         pool = build_template_pool(
             db,
             redset_spec_workload(num_specs=4, seed=21),
@@ -155,9 +158,9 @@ class TestCompiledDifferential:
                     # The cold path rejects this instantiation; the compiled
                     # path must reject it too (profiler maps both to None).
                     with pytest.raises(Exception):
-                        compiled._replan(sql, values)
+                        compiled.explain(values)
                     continue
-                assert compiled._replan(sql, values) == cold
+                assert compiled.explain(values) == cold
                 checked += 1
         assert compiled_count >= len(pool) // 2, "most pool templates should compile"
         assert checked >= 10

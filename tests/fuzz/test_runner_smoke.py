@@ -9,6 +9,7 @@ reproducible down to the report bytes.
 from __future__ import annotations
 
 from repro.fuzz import FuzzRunner, build_fuzz_database
+from repro.fuzz.oracles import CompiledTemplateOracle, ExplainCacheOracle
 from repro.obs import Telemetry, use_telemetry
 
 
@@ -50,3 +51,20 @@ class TestSmoke:
         assert metrics.total("fuzz.checks") > 0
         assert metrics.total("fuzz.runs") == 1
         assert metrics.total("fuzz.disagreements") == 0
+
+    def test_compiled_oracle_recosts_both_bindings_through_the_template(self):
+        # explain_cache runs first and caches every statement it checks;
+        # compiled_template must still re-cost both of its bindings through
+        # CompiledTemplate instead of reading them back from that cache.
+        runner = FuzzRunner(
+            db=build_fuzz_database(0),
+            seed=7,
+            oracles=[ExplainCacheOracle(), CompiledTemplateOracle()],
+        )
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            report = runner.run(200)
+        assert report.ok, report.to_json()
+        checks = report.oracles["compiled_template"]["checks"]
+        assert checks > 0
+        assert telemetry.metrics.total("fastpath.compiled.explains") == 2 * checks
