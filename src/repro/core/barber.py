@@ -196,11 +196,6 @@ class SQLBarber:
                 max_cost_dollars=self.config.max_cost_dollars,
                 jitter_seed=self.config.seed + 101,
             )
-        # Apply the executor knobs to the database the run will use: the
-        # vectorized path (and its batch size) is a per-database setting.
-        self.db.set_vectorized(
-            self.config.use_vectorized, batch_size=self.config.vec_batch_size
-        )
         self.schema = schema_payload(db)
         # Telemetry sinks attached to every generate_workload run (a fresh
         # Telemetry is created per run; sinks are closed when it finishes,

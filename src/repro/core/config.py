@@ -73,18 +73,6 @@ class BarberConfig:
     workers: int = 1
     parallel_backend: str = "thread"  # 'thread' | 'process'
 
-    # -- repro.sqldb.vec: vectorized execution ------------------------------------
-    # Run supported plans through the columnar batch executor instead of the
-    # row-at-a-time one.  The differential battery and the vec-vs-row fuzz
-    # oracle pin the two paths semantically identical; unsupported plan
-    # shapes (subqueries, UNION, nested-loop joins) always fall back to the
-    # row executor regardless of this flag.
-    use_vectorized: bool = True
-    # Rows per columnar batch.  Budgets and cooperative cancellation are
-    # charged at batch boundaries, so a smaller batch tightens governor
-    # responsiveness at the price of per-batch overhead.
-    vec_batch_size: int = 1024
-
     # -- repro.resilience: budgets and checkpointing -------------------------------
     # Hard spend ceilings, checked before every LLM call.  Reaching one
     # raises BudgetExhausted, which the pipeline converts into a graceful
@@ -183,11 +171,6 @@ class BarberConfig:
             raise ValueError(
                 f"BarberConfig.governor_cost_per_row_seconds must be >= 0 "
                 f"(got {self.governor_cost_per_row_seconds!r})"
-            )
-        if self.vec_batch_size < 1:
-            raise ValueError(
-                f"BarberConfig.vec_batch_size must be >= 1 "
-                f"(got {self.vec_batch_size})"
             )
         if self.checkpoint_every_templates < 1:
             raise ValueError(

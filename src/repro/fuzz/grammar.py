@@ -47,8 +47,8 @@ _SHAPES = [
 ]
 
 #: The write-path shapes added in grammar v2.  Read-only harnesses (the
-#: vec differential battery, tightening checks) filter these out; the DML
-#: differential battery filters everything else out.
+#: SELECT reference-model sweep, tightening checks) filter these out; the
+#: DML differential battery filters everything else out.
 DML_SHAPES = frozenset({"insert", "update", "delete"})
 
 #: The original read-only statement shapes.

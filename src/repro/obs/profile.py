@@ -141,14 +141,12 @@ class ProfileRun:
         self._stack.append(profile)
         return profile, self.clock()
 
-    def exit(
-        self, profile: OperatorProfile, started: float, rows: int, batches: int = 1
-    ) -> None:
+    def exit(self, profile: OperatorProfile, started: float, rows: int) -> None:
         profile.total_seconds += self.clock() - started
         profile.rows_out += rows
-        # The row executor materializes once per operator (batches=1); the
-        # vectorized executor reports how many output batches it emitted.
-        profile.batches += batches
+        # The executor materializes each operator's output in one step, so
+        # every invocation is one batch.
+        profile.batches += 1
         self._stack.pop()
 
     def finalize(self) -> list[OperatorProfile]:

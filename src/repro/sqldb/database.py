@@ -26,8 +26,6 @@ from .parser import parse_sql
 from .plan_nodes import Plan
 from .planner import Planner
 from .storage import Table
-from .vec import DEFAULT_BATCH_SIZE, VecExecutor
-from .vec import supports as vec_supports
 
 
 @dataclass(frozen=True)
@@ -51,43 +49,8 @@ class Database:
         self._binder = Binder(self._catalog)
         self._planner = Planner(self._catalog)
         self._executor = Executor(self._catalog)
-        self._vec_executor = VecExecutor(self._catalog, DEFAULT_BATCH_SIZE)
-        self._use_vectorized = True
         self._explain_cache = ExplainCache(maxsize=explain_cache_size)
         self._explain_cache_enabled = True
-
-    # -- executor selection ----------------------------------------------------
-
-    @property
-    def use_vectorized(self) -> bool:
-        return self._use_vectorized
-
-    @property
-    def vec_batch_size(self) -> int:
-        return self._vec_executor._batch_size
-
-    def set_vectorized(self, enabled: bool, batch_size: int | None = None) -> None:
-        """Toggle the vectorized executor (the ``use_vectorized`` knob).
-
-        *batch_size* resizes the columnar batches; ``None`` keeps the
-        current size.  The row executor remains the fallback for plans the
-        vectorized path does not support (subqueries, UNION, nested-loop
-        joins), and the differential battery guarantees the two agree.
-        """
-        self._use_vectorized = enabled
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError("batch_size must be positive")
-            self._vec_executor = VecExecutor(self._catalog, batch_size)
-
-    def _executor_for(self, plan: Plan):
-        if (
-            self._use_vectorized
-            and plan.use_vectorized
-            and vec_supports(plan)
-        ):
-            return self._vec_executor
-        return self._executor
 
     # -- schema management ---------------------------------------------------
 
@@ -221,7 +184,7 @@ class Database:
         started = time.perf_counter()
         try:
             plan = self.plan(sql)
-            table = self._executor_for(plan).execute(plan)
+            table = self._executor.execute(plan)
         except SqlError as exc:
             if telemetry.enabled:
                 telemetry.count("sqldb.execute.errors")
@@ -272,7 +235,7 @@ class Database:
         estimates = self.explain_estimates(sql, compute=lambda: explain_plan(plan))
         started = time.perf_counter()
         try:
-            table = self._executor_for(plan).execute(plan)
+            table = self._executor.execute(plan)
         except SqlError as exc:
             raise exc.attach_source(sql)
         elapsed = time.perf_counter() - started

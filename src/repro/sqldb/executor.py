@@ -1,4 +1,4 @@
-"""Plan execution over columnar batches.
+"""Plan execution over whole numpy columns: the engine's one executor.
 
 The executor is materializing: every operator consumes and produces a whole
 :class:`~repro.sqldb.storage.Table` whose columns are keyed
@@ -283,18 +283,19 @@ class Executor:
             table.setdefault(right_codes[i], []).append(int(i))
         left_idx: list[int] = []
         right_idx: list[int] = []
-        matched_left = np.zeros(left.row_count, dtype=bool)
-        matched_right = np.zeros(right.row_count, dtype=bool)
         for i in np.flatnonzero(left_valid):
             bucket = table.get(left_codes[i])
-            if bucket:
-                for j in bucket:
-                    left_idx.append(int(i))
-                    right_idx.append(j)
-                # A skewed key can explode the output quadratically; check
-                # the budgets periodically while the match list grows.
-                if governor is not None and len(left_idx) & 0x1FFF == 0:
-                    governor.admit(len(left_idx), 0, "HashJoinNode")
+            if not bucket:
+                continue
+            before = len(left_idx)
+            left_idx.extend([int(i)] * len(bucket))
+            right_idx.extend(bucket)
+            if governor is not None:
+                # A skewed key can explode the output quadratically: admit
+                # the growth at every 8,192nd pair, however many pairs one
+                # key contributes.
+                for pairs in range((before | 0x1FFF) + 1, len(left_idx) + 1, 0x2000):
+                    governor.admit(pairs, 0, "HashJoinNode")
         li = np.array(left_idx, dtype=np.int64)
         ri = np.array(right_idx, dtype=np.int64)
         joined = _combine_frames(left.take(li), right.take(ri))
@@ -304,13 +305,7 @@ class Executor:
             )
             joined = joined.filter(keep)
             li, ri = li[keep], ri[keep]
-        matched_left[li] = True
-        matched_right[ri] = True
-        if node.join_type in ("left", "full"):
-            joined = _append_outer_rows(joined, left, right, ~matched_left, side="left")
-        if node.join_type in ("right", "full"):
-            joined = _append_outer_rows(joined, left, right, ~matched_right, side="right")
-        return joined
+        return _append_unmatched(joined, left, right, li, ri, node.join_type)
 
     def _run_nested_loop(
         self, node: NestedLoopJoinNode, subquery_values: dict[int, SubqueryValue]
@@ -335,14 +330,9 @@ class Executor:
             keep = truthy(
                 evaluate(node.condition, joined.context(subquery_values))
             )
-            if node.join_type == "left":
-                matched = np.zeros(left.row_count, dtype=bool)
-                matched[li[keep]] = True
-                joined = joined.filter(keep)
-                joined = _append_outer_rows(joined, left, right, ~matched, side="left")
-                return joined
             joined = joined.filter(keep)
-        return joined
+            li, ri = li[keep], ri[keep]
+        return _append_unmatched(joined, left, right, li, ri, node.join_type)
 
     # -- aggregation -----------------------------------------------------------------
 
@@ -852,6 +842,26 @@ def _combine_frames(left: _Frame, right: _Frame) -> _Frame:
             raise ExecutionError(f"duplicate column binding {name!r} in join")
         columns[name] = col
     return _Frame(columns, left.row_count)
+
+
+def _append_unmatched(
+    joined: _Frame,
+    left: _Frame,
+    right: _Frame,
+    li: np.ndarray,
+    ri: np.ndarray,
+    join_type: str,
+) -> _Frame:
+    """Pad an outer join: *li*/*ri* are the row pairs that survived ON."""
+    if join_type in ("left", "full"):
+        matched = np.zeros(left.row_count, dtype=bool)
+        matched[li] = True
+        joined = _append_outer_rows(joined, left, right, ~matched, side="left")
+    if join_type in ("right", "full"):
+        matched = np.zeros(right.row_count, dtype=bool)
+        matched[ri] = True
+        joined = _append_outer_rows(joined, left, right, ~matched, side="right")
+    return joined
 
 
 def _append_outer_rows(

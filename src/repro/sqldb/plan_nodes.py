@@ -339,9 +339,6 @@ class Plan:
     subplans: dict[int, SubPlan] = field(default_factory=dict)
     output_names: list[str] = field(default_factory=list)
     output_types: list[SqlType] = field(default_factory=list)
-    # Stamped by the planner: whether this plan is eligible for the
-    # vectorized executor (the database still checks operator support).
-    use_vectorized: bool = False
 
     @property
     def est_rows(self) -> float:

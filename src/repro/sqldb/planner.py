@@ -253,14 +253,11 @@ class Planner:
             subplan_cost = sum(s.plan.root.cost.total for s in subplans.values())
             if subplan_cost:
                 root.cost = root.cost.plus(subplan_cost)
-            # Stamped eligible for the vectorized executor; the database
-            # decides per plan whether every operator is supported.
             return Plan(
                 root=root,
                 subplans=subplans,
                 output_names=bound.output_names,
                 output_types=bound.output_types,
-                use_vectorized=True,
             )
 
         return build
@@ -292,7 +289,6 @@ class Planner:
                 subplans={},
                 output_names=bound.output_names,
                 output_types=bound.output_types,
-                use_vectorized=True,
             )
 
         return build
@@ -348,7 +344,6 @@ class Planner:
                 subplans=_plan_subqueries(subqueries, ctx),
                 output_names=bound.output_names,
                 output_types=bound.output_types,
-                use_vectorized=False,
             )
 
         return build
@@ -408,7 +403,6 @@ class Planner:
                 subplans=subplans,
                 output_names=bound.output_names,
                 output_types=bound.output_types,
-                use_vectorized=False,
             )
 
         return build

@@ -1,4 +1,9 @@
-"""The executor under governance: operator-boundary checks on real queries."""
+"""The executor under governance: operator-boundary checks on real queries.
+
+The executor charges each operator's output frame once, when it has
+materialized; inside operators it pre-admits nested-loop cross products
+and re-checks hash-join growth every 8,192 pairs.
+"""
 
 import pytest
 
@@ -9,8 +14,20 @@ from repro.sqldb import (
     ResourceExceeded,
     RowBudgetExceeded,
 )
+from repro.sqldb.errors import QueryCancelled
 
 RUNAWAY = "SELECT * FROM users, orders, items WHERE users.age > 30"
+JOINED = (
+    "SELECT users.name, orders.amount FROM users "
+    "JOIN orders ON users.user_id = orders.user_id "
+    "WHERE orders.amount > 50.0"
+)
+# Each of the 600 orders pairs with every order of its status: 72,000 pairs.
+SKEWED_JOIN = (
+    "SELECT a.order_id, b.order_id FROM orders a "
+    "JOIN orders b ON a.status = b.status "
+    "WHERE a.user_id IN (SELECT users.user_id FROM users)"
+)
 
 
 def governed(**limits):
@@ -40,7 +57,35 @@ class TestCrossJoinRefusal:
                 gov_db.execute(RUNAWAY)
 
 
+class TestHashJoinGrowth:
+    def test_row_budget_trips_while_the_pairs_grow(self, gov_db):
+        gov = governed(row_budget=20_000)
+        with use_governor(gov):
+            with pytest.raises(
+                RowBudgetExceeded, match="HashJoinNode would materialize 24576"
+            ):
+                gov_db.execute(SKEWED_JOIN)
+        # Refused mid-build: only the scans and the subplan were charged,
+        # never the 72,000-pair output.
+        assert gov.rows_processed == 1_440
+
+    def test_generous_budget_lets_the_join_finish(self, gov_db):
+        bare = gov_db.execute(SKEWED_JOIN)
+        gov = governed(row_budget=10_000_000)
+        with use_governor(gov):
+            ruled = gov_db.execute(SKEWED_JOIN)
+        assert ruled.row_count == bare.row_count == 72_000
+
+
 class TestOperatorBoundaries:
+    def test_row_budget_charges_the_whole_operator_output(self, gov_db):
+        gov = governed(row_budget=100)
+        with use_governor(gov):
+            with pytest.raises(RowBudgetExceeded, match="processed 600 rows"):
+                gov_db.execute("SELECT * FROM orders")
+        # One charge per materialized operator: the full 600-row scan.
+        assert gov.rows_processed == 600
+
     def test_memory_budget_trips_on_wide_scan(self, gov_db):
         with use_governor(governed(memory_budget_bytes=1_000)):
             with pytest.raises(MemoryBudgetExceeded):
@@ -85,3 +130,42 @@ class TestOperatorBoundaries:
             "SELECT COUNT(*) FROM users WHERE users.age > 30"
         )
         assert result.row_count == 1
+
+
+class _CancelAfterFrames(QueryGovernor):
+    """Flips the cooperative-cancel flag after *after* charged frames."""
+
+    def __init__(self, limits, after, **kwargs):
+        super().__init__(limits, **kwargs)
+        self.charged: list[tuple[str, int]] = []
+        self._after = after
+
+    def charge_frame(self, node_name, rows, est_bytes):
+        super().charge_frame(node_name, rows, est_bytes)
+        self.charged.append((node_name, rows))
+        if len(self.charged) == self._after:
+            self.cancel("test: operator boundary reached")
+
+
+class TestCooperativeCancel:
+    def test_pre_cancelled_governor_refuses_the_query(self, gov_db):
+        gov = governed()
+        gov.cancel("benched before start")
+        with use_governor(gov):
+            with pytest.raises(QueryCancelled, match="benched"):
+                gov_db.execute("SELECT * FROM orders")
+        assert gov.rows_processed == 0
+
+    def test_cancel_lands_at_the_next_operator_boundary(self, gov_db):
+        gov = _CancelAfterFrames(
+            GovernorLimits(row_budget=10_000_000),
+            after=1,
+            clock=clock_for("simulated"),
+        )
+        with use_governor(gov):
+            with pytest.raises(QueryCancelled, match="operator boundary"):
+                gov_db.execute(JOINED)
+        # The users scan was charged, then cancelled; the orders scan's
+        # begin_operator check refused to start it.
+        assert gov.charged == [("SeqScanNode", 120)]
+        assert gov.rows_processed == 120

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fuzz import build_fuzz_database
 from repro.sqldb import Database, SqlType, Table
 
 N_LEFT, N_RIGHT = 120, 80
@@ -139,6 +140,49 @@ class TestOuterJoins:
         right_seen = {rid for _, rid in rows if rid is not None}
         assert left_seen == set(range(N_LEFT))
         assert right_seen == set(range(N_RIGHT))
+
+
+class TestNonEquiOuterJoins:
+    """Outer joins whose ON has no equality run as nested loops."""
+
+    @pytest.mark.parametrize("join", ["LEFT", "RIGHT", "FULL"])
+    def test_matches_reference(self, jdb, join):
+        db, left_rows, right_rows = jdb
+        got = sorted(
+            db.execute(
+                f"SELECT l.lid, r.rid FROM l {join} JOIN r ON l.lv > r.rv + 60"
+            ).table.rows(),
+            key=repr,
+        )
+        pairs = [
+            (l["lid"], r["rid"])
+            for l in left_rows
+            for r in right_rows
+            if l["lv"] > r["rv"] + 60
+        ]
+        expected = list(pairs)
+        if join in ("LEFT", "FULL"):
+            matched = {lid for lid, _ in pairs}
+            expected += [(l["lid"], None) for l in left_rows if l["lid"] not in matched]
+        if join in ("RIGHT", "FULL"):
+            matched = {rid for _, rid in pairs}
+            expected += [(None, r["rid"]) for r in right_rows if r["rid"] not in matched]
+        assert got == sorted(expected, key=repr)
+
+    @pytest.mark.parametrize(
+        "on, expected",
+        [
+            # 28,035 pairs + 10 unmatched users + 236 unmatched orders.
+            ("users.age > orders.amount", 28_281),
+            # Nothing matches: all 120 users and all 600 orders, padded.
+            ("users.age > 1000", 720),
+        ],
+    )
+    def test_full_join_keeps_unmatched_rows_of_both_sides(self, on, expected):
+        db = build_fuzz_database(0)
+        sql = f"SELECT count(*) FROM users FULL JOIN orders ON {on}"
+        assert "Nested Loop" in db.explain(sql).plan_text
+        assert list(db.execute(sql).table.rows()) == [(expected,)]
 
 
 class TestSemiJoinEquivalence:

@@ -180,7 +180,6 @@ class TestBinder:
             plan = mdb.plan(sql)
             assert plan.output_names == ["rows_affected"]
             assert plan.output_types == [SqlType.BIGINT]
-            assert plan.use_vectorized is False
 
 
 class TestInsert:

@@ -16,6 +16,12 @@ engine:
   drop on DELETE), with a periodic all-tables audit.
 
 The acceptance bar is a 500-statement sweep with zero divergences.
+
+The same model also evaluates the grammar's single-table ``simple``
+SELECTs (WHERE, DISTINCT, LIMIT/OFFSET) and compares row multisets with
+the engine: the executor's second opinion on reads.  Statements whose
+LIMIT depends on ORDER BY, or whose functions or CASE the model would
+have to evaluate, are skipped.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ SEED = 71
 
 class RefConstraint(Exception):
     """The reference model's NOT NULL / bad-cast rejection."""
+
+
+class RefUnsupported(Exception):
+    """A construct the reference model does not evaluate."""
 
 
 class RefModel:
@@ -145,9 +155,25 @@ class RefModel:
         ]
         return before - len(self.tables[name])
 
+    def select(self, select) -> list[list]:
+        """Evaluate a standalone single-table SELECT, or raise RefUnsupported.
+
+        ORDER BY is accepted only where it cannot change which rows come
+        back (no LIMIT/OFFSET), so callers compare row multisets.
+        """
+        if (
+            not isinstance(select, ast.SelectStatement)
+            or not isinstance(select.from_clause, ast.TableRef)
+            or select.group_by
+            or select.having is not None
+            or (select.order_by and (select.limit or select.offset))
+        ):
+            raise RefUnsupported("statement shape")
+        return self._select(select)
+
     def _select(self, select: ast.SelectStatement) -> list[list]:
-        """The one SELECT shape INSERT sources use: plain column refs over a
-        single table, optional WHERE, optional LIMIT, table order."""
+        """Single-table SELECT in table order: WHERE, DISTINCT, LIMIT and
+        OFFSET (the INSERT-source shape is the WHERE/LIMIT subset)."""
         assert isinstance(select.from_clause, ast.TableRef)
         name = select.from_clause.name
         types = self.types[name]
@@ -162,9 +188,11 @@ class RefModel:
                     for item in select.select_items
                 ]
             )
-        if select.limit is not None:
-            out = out[: select.limit]
-        return out
+        if select.distinct:  # first occurrences, in table order
+            out = [list(r) for r in dict.fromkeys(tuple(r) for r in out)]
+        start = select.offset or 0
+        stop = None if select.limit is None else start + select.limit
+        return out[start:stop]
 
     def _matching(self, name: str, where) -> list[int]:
         types = self.types[name]
@@ -262,7 +290,7 @@ def _eval(expr, row: dict, types: dict):
         return _eval_in_list(expr, row, types)
     if isinstance(expr, ast.Like):
         return _eval_like(expr, row, types)
-    raise AssertionError(f"reference model cannot evaluate {type(expr).__name__}")
+    raise RefUnsupported(type(expr).__name__)
 
 
 def _eval_binary(expr: ast.BinaryOp, row, types):
@@ -493,6 +521,53 @@ class TestDifferentialSweep:
         for table in sorted(db.catalog.table_names):
             assert engine_rows(db, table) == model_rows(model, table), table
             assert_indexes_match(db, model, table)
+
+
+# -- SELECT: the same model as an independent second opinion ----------------------
+
+
+SELECT_SWEEP = 300
+
+
+def row_multiset(rows) -> list[tuple]:
+    return sorted((tuple(norm(v) for v in row) for row in rows), key=repr)
+
+
+@pytest.fixture(scope="module")
+def select_outcome():
+    """Every ``simple`` grammar SELECT the model evaluates, engine vs model."""
+    db = build_fuzz_database(0)
+    model = RefModel(db)
+    grammar = FuzzGrammar(db.catalog, seed=SEED)
+    compared = skipped = 0
+    divergences = []
+    for gen in grammar.statements(SELECT_SWEEP, shapes={"simple"}):
+        try:
+            expected = model.select(parse_sql(gen.sql))
+        except RefUnsupported:
+            skipped += 1
+            continue
+        compared += 1
+        try:
+            got = db.execute(gen.sql).table.rows()
+        except SqlError as exc:
+            divergences.append(f"#{gen.index} engine {type(exc).__name__}: {gen.sql}")
+            continue
+        if row_multiset(got) != row_multiset(expected):
+            divergences.append(f"#{gen.index} rows differ: {gen.sql}")
+    return compared, skipped, divergences
+
+
+class TestSelectSweep:
+    def test_zero_divergences(self, select_outcome):
+        _, _, divergences = select_outcome
+        assert not divergences, (
+            f"{len(divergences)} divergences, first:\n{divergences[0]}"
+        )
+
+    def test_enough_statements_compared(self, select_outcome):
+        compared, skipped, _ = select_outcome
+        assert compared >= 100, (compared, skipped)
 
 
 class TestReferenceModelSanity:

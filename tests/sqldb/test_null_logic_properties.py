@@ -6,7 +6,8 @@ laws over *any* predicate P:
 
 * partition: every row is exactly one of P, NOT P, or (P) IS NULL;
 * double negation: NOT NOT P keeps exactly the rows P keeps;
-* De Morgan: NOT (P AND Q) == (NOT P) OR (NOT Q), likewise for OR.
+* De Morgan: NOT (P AND Q) == (NOT P) OR (NOT Q), likewise for OR;
+* monotonicity: (P) AND (Q) never keeps a row P drops.
 
 The predicates come from the fuzz grammar's expression production
 (:meth:`FuzzGrammar.predicate`), so the laws are exercised over the same
@@ -107,6 +108,15 @@ class TestDeMorgan:
             lhs = _signature(db, f"NOT (({p}) OR ({q}))")
             rhs = _signature(db, f"(NOT ({p})) AND (NOT ({q}))")
             assert lhs == rhs, (p, q)
+
+
+class TestMonotonicity:
+    def test_predicate_tightening_never_adds_rows(self, db):
+        # ANDing any conjunct can only shrink the row set: the law the
+        # profiling loop's cost model leans on.
+        preds = _predicates(db, count=16)
+        for p, q in zip(preds[:8], preds[8:]):
+            assert _count(db, f"({p}) AND ({q})") <= _count(db, f"({p})"), (p, q)
 
 
 class TestKleeneTruthTable:
