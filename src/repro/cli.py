@@ -51,6 +51,11 @@ from repro.obs import (
     render_report_file,
     setup_logging,
 )
+from repro.resilience.chaos import (
+    SCENARIOS,
+    SERVICE_SCENARIOS,
+    run_chaos_campaign,
+)
 from repro.workload import CostDistribution, TemplateSpec
 
 logger = logging.getLogger("repro.cli")
@@ -266,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="upper bound on the total per-call transport-fault probability",
     )
     chaos.add_argument(
-        "--scenario", default=None,
-        choices=["storm", "kill", "budget", "engine", "serve", "restart"],
+        "--scenario", default=None, choices=SCENARIOS + SERVICE_SCENARIOS,
         help="pin every run to one scenario instead of cycling "
              "(engine = governor limits + engine-side fault storm; "
              "serve = worker kills, queue storms, deadline expiry, and "
@@ -639,33 +643,27 @@ def cmd_chaos(args) -> int:
     """`repro chaos`: seeded chaos campaign; JSON report on stdout.
 
     Exit code 0 iff every run completed, aborted gracefully, or resumed
-    bit-identically after its injected kill.  The report is byte-identical
-    across runs with the same seed/runs/intensity, so CI can diff two runs
-    to prove reproducibility.
+    bit-identically after its injected kill; 2 (one line on stderr) for
+    ``--runs`` below 1 or ``--intensity`` outside [0, 1].  The report is
+    byte-identical across runs with the same seed/runs/intensity, so CI
+    can diff two runs to prove reproducibility.
     """
-    from repro.resilience import run_chaos_campaign
-
-    report = run_chaos_campaign(
-        seed=args.seed, runs=args.runs, intensity=args.intensity,
-        scenario=args.scenario, trace_path=args.trace_out,
-    )
+    try:
+        report = run_chaos_campaign(
+            seed=args.seed, runs=args.runs, intensity=args.intensity,
+            scenario=args.scenario, trace_path=args.trace_out,
+        )
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     if args.trace_out:
         logger.info("telemetry trace written to %s", args.trace_out)
     print(report.to_json(), end="")
-    if args.scenario == "restart":
-        logger.info(
-            "restart chaos: %d runs, %d sweep points, %d/%d recovery pairs "
-            "identical, %d failures",
-            report.runs, report.sweep_points, report.pairs_identical,
-            report.recovery_pairs, len(report.failures),
-        )
-    else:
-        logger.info(
-            "chaos: %d runs, %d completed, %d aborted, %d kills, "
-            "%d resumed identical, %d failures",
-            report.runs, report.completed, report.aborted, report.kills_fired,
-            report.resumed_identical, len(report.failures),
-        )
+    logger.info(
+        "chaos (%s): %d runs, %d mismatches, %d failures, ok=%s",
+        args.scenario or "mixed", report.runs, len(report.mismatches),
+        len(report.failures), report.ok,
+    )
     return 0 if report.ok else 1
 
 

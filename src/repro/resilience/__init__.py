@@ -8,8 +8,10 @@ Three layers, composable and individually usable:
 * :mod:`~repro.resilience.checkpoint` — atomic, content-hashed run
   checkpoints that make ``SQLBarber.generate_workload`` resumable
   bit-identically after a crash or budget exhaustion.
-* :mod:`~repro.resilience.chaos` — a seeded chaos campaign that runs the
-  full pipeline under transport-fault storms and process kills, asserting
+* :mod:`~repro.resilience.chaos` — the chaos campaign kernel (one report
+  base, one per-run loop, one entry point shared by every scenario) and
+  the pipeline campaign that runs the full pipeline under transport-fault
+  storms, process kills, budget ceilings and engine faults, asserting
   every run either completes or leaves a valid, resumable checkpoint.
 """
 

@@ -1,7 +1,24 @@
-"""Chaos campaigns: the full pipeline under seeded fault storms and kills.
+"""Chaos campaigns: one kernel, and the pipeline under fault storms and kills.
 
-Every campaign run drives ``SQLBarber.generate_workload`` end to end on a
-small database while one of three deterministic disruptions plays out:
+The kernel every campaign runs through is three pieces:
+
+* :class:`CampaignReport` — the report base (``seed``, ``runs``,
+  ``intensity``, ``mismatches``, ``failures``); a scenario's report
+  subclasses it with its own counters and ``ok`` bar, and ``to_dict`` /
+  ``to_json`` serialize every field.
+* :func:`run_campaign` — the one per-run loop: ``runner.plan(index)``
+  draws everything run *index* needs from the campaign seed, then
+  ``runner.one_run(plan, report)`` plays it out.  It validates the
+  inputs, turns an escaping ``Exception`` into a recorded failure, and
+  emits one ``chaos.run`` span with ``chaos.runs{scenario=}`` /
+  ``chaos.failures{scenario=}`` counters.
+* :func:`run_chaos_campaign` — the one entry point (CLI and CI), which
+  picks the runner: :class:`ChaosRunner` for :data:`SCENARIOS`, or a
+  service runner from :mod:`repro.serve.chaos` for
+  :data:`SERVICE_SCENARIOS`.
+
+:class:`ChaosRunner` drives ``SQLBarber.generate_workload`` end to end on
+a small database while one of four deterministic disruptions plays out:
 
 * ``storm`` — a transport-fault storm (timeouts, 429s, 5xx, truncation,
   garbage payloads) rages for the whole run.
@@ -29,10 +46,12 @@ failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,6 +63,8 @@ from .client import CircuitBreakerPolicy, ResilientLLMClient, RetryPolicy
 from .clock import SimulatedClock
 
 SCENARIOS = ("storm", "kill", "budget", "engine")
+#: Campaigns against the job service, run by :mod:`repro.serve.chaos`.
+SERVICE_SCENARIOS = ("serve", "restart")
 
 
 class InjectedCrash(BaseException):
@@ -55,13 +76,43 @@ class InjectedCrash(BaseException):
 
 
 @dataclass
-class ChaosReport:
-    """Deterministic summary of one chaos campaign."""
+class CampaignReport:
+    """What every campaign report carries; scenarios add their counters.
+
+    The report is CI's evidence, so every field must be a pure function
+    of the campaign inputs: no timestamps, no paths.
+    """
+
+    #: The scenario a single-scenario report names in ``to_dict``; None
+    #: for a mixed campaign, whose failures name each run's scenario.
+    scenario: ClassVar[str | None] = None
 
     seed: int
     runs: int
     intensity: float
-    database: str
+    mismatches: list = field(default_factory=list)  # twin/control differs
+    failures: list = field(default_factory=list)  # unhandled exceptions
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and not self.mismatches
+
+    def to_dict(self) -> dict:
+        out = dataclasses.asdict(self)
+        if self.scenario is not None:
+            out["scenario"] = self.scenario
+        out["ok"] = self.ok
+        return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@dataclass
+class ChaosReport(CampaignReport):
+    """Deterministic summary of one pipeline chaos campaign."""
+
+    database: str = ""
     scenarios: dict = field(default_factory=dict)  # scenario -> run count
     completed: int = 0
     aborted: int = 0
@@ -73,37 +124,46 @@ class ChaosReport:
     engine_faults_injected: int = 0
     engine_runs_identical: int = 0
     scenario_filter: str | None = None
-    mismatches: list = field(default_factory=list)  # resume != control
-    failures: list = field(default_factory=list)  # unhandled exceptions
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures and not self.mismatches
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "runs": self.runs,
-            "intensity": self.intensity,
-            "database": self.database,
-            "scenarios": dict(sorted(self.scenarios.items())),
-            "completed": self.completed,
-            "aborted": self.aborted,
-            "kills_fired": self.kills_fired,
-            "resumed_identical": self.resumed_identical,
-            "transport_faults_injected": self.transport_faults_injected,
-            "retry_attempts": self.retry_attempts,
-            "quarantines": self.quarantines,
-            "engine_faults_injected": self.engine_faults_injected,
-            "engine_runs_identical": self.engine_runs_identical,
-            "scenario_filter": self.scenario_filter,
-            "mismatches": list(self.mismatches),
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+def run_campaign(runner, report: CampaignReport) -> CampaignReport:
+    """The per-run loop every campaign shares; returns *report*, filled.
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+    *runner* supplies ``plan(index)`` — everything run *index* needs,
+    drawn up front and naming its ``scenario`` — and ``one_run(plan,
+    report)``, which plays the run out and tallies into *report*.  An
+    ``Exception`` escaping a run is recorded as a failure, never a stack
+    trace (simulated deaths are ``BaseException`` subclasses, which the
+    runners catch themselves).
+    """
+    if report.runs < 1:
+        raise ValueError(f"chaos runs must be >= 1, got {report.runs}")
+    if not 0.0 <= report.intensity <= 1.0:
+        raise ValueError(
+            f"chaos intensity must be in [0, 1], got {report.intensity}"
+        )
+    telemetry = current_telemetry()
+    with telemetry.span(
+        "chaos.run",
+        seed=report.seed,
+        runs=report.runs,
+        scenario=report.scenario,
+    ):
+        for index in range(report.runs):
+            plan = runner.plan(index)
+            try:
+                runner.one_run(plan, report)
+            except Exception as error:  # the bar: never a stack trace
+                failure = {
+                    "run": index,
+                    "error": f"{type(error).__name__}: {error}",
+                }
+                if report.scenario is None:
+                    failure["scenario"] = plan.scenario
+                report.failures.append(failure)
+                telemetry.count("chaos.failures", scenario=plan.scenario)
+            telemetry.count("chaos.runs", scenario=plan.scenario)
+    return report
 
 
 @dataclass(frozen=True)
@@ -155,7 +215,7 @@ class ChaosRunner:
 
     # -- planning -----------------------------------------------------------------
 
-    def _plan(self, index: int) -> _RunPlan:
+    def plan(self, index: int) -> _RunPlan:
         rng = np.random.default_rng([self.seed, index])
         scenario = self.scenario or SCENARIOS[index % len(SCENARIOS)]
         # Split a bounded intensity across the five fault classes so retry
@@ -288,35 +348,20 @@ class ChaosRunner:
     # -- the campaign -----------------------------------------------------------------
 
     def run(self) -> ChaosReport:
-        report = ChaosReport(
-            seed=self.seed,
-            runs=self.runs,
-            intensity=self.intensity,
-            database=self.db.name,
-            scenario_filter=self.scenario,
+        return run_campaign(
+            self,
+            ChaosReport(
+                seed=self.seed,
+                runs=self.runs,
+                intensity=self.intensity,
+                database=self.db.name,
+                scenario_filter=self.scenario,
+            ),
         )
-        telemetry = current_telemetry()
-        with telemetry.span("chaos.run", seed=self.seed, runs=self.runs):
-            for index in range(self.runs):
-                plan = self._plan(index)
-                report.scenarios[plan.scenario] = (
-                    report.scenarios.get(plan.scenario, 0) + 1
-                )
-                try:
-                    self._one_run(plan, report)
-                except Exception as error:  # the bar: never a stack trace
-                    report.failures.append(
-                        {
-                            "run": index,
-                            "scenario": plan.scenario,
-                            "error": f"{type(error).__name__}: {error}",
-                        }
-                    )
-                    telemetry.count("chaos.failures", scenario=plan.scenario)
-                telemetry.count("chaos.runs", scenario=plan.scenario)
-        return report
 
-    def _one_run(self, plan: _RunPlan, report: ChaosReport) -> None:
+    def one_run(self, plan: _RunPlan, report: ChaosReport) -> None:
+        scenarios = report.scenarios
+        scenarios[plan.scenario] = scenarios.get(plan.scenario, 0) + 1
         if plan.scenario == "storm":
             result = self._pipeline(plan)
             self._record_outcome(result, report)
@@ -444,37 +489,32 @@ def run_chaos_campaign(
     intensity: float = 0.3,
     scenario: str | None = None,
     trace_path: str | None = None,
-) -> ChaosReport:
-    """Convenience wrapper used by the CLI and CI smoke job.
+) -> CampaignReport:
+    """Run one seeded campaign: the entry point of the CLI and CI smokes.
 
-    *scenario* pins every run to one scenario instead of cycling through
-    all of :data:`SCENARIOS` — the CI governor gate uses ``"engine"``.
-    ``"serve"`` dispatches to the serve-layer campaign
-    (:func:`repro.serve.chaos.run_serve_chaos`), which attacks the job
-    service instead of a single pipeline run, and ``"restart"`` to the
-    durable-store campaign
-    (:func:`repro.serve.restart_chaos.run_restart_chaos`), which kills
-    the whole service at every journaled transition point; both reports
-    have the same ``ok``/``to_json`` surface the CLI consumes.
+    *scenario* pins every run to one of :data:`SCENARIOS` instead of
+    cycling through them all — the CI governor gate uses ``"engine"`` —
+    or picks one of :data:`SERVICE_SCENARIOS`, which attack the job
+    service (:mod:`repro.serve.chaos`) instead of a single pipeline run.
     With *trace_path* set, the campaign's telemetry (spans, events, the
     final metrics snapshot) is exported there as JSONL; the sink flushes
     per record, so even a crashed campaign leaves a readable trace.
+    Raises :class:`ValueError` for an unknown scenario, ``runs < 1`` or
+    an intensity outside ``[0, 1]``.
     """
-    if scenario == "serve":
-        from repro.serve.chaos import run_serve_chaos
+    if scenario in SERVICE_SCENARIOS:
+        from repro.serve import chaos as service
 
-        return run_serve_chaos(
-            seed=seed, runs=runs, intensity=intensity, trace_path=trace_path
+        runner_class = (
+            service.ServeChaosRunner
+            if scenario == "serve"
+            else service.RestartChaosRunner
         )
-    if scenario == "restart":
-        from repro.serve.restart_chaos import run_restart_chaos
-
-        return run_restart_chaos(
-            seed=seed, runs=runs, intensity=intensity, trace_path=trace_path
+        runner = runner_class(seed=seed, runs=runs, intensity=intensity)
+    else:
+        runner = ChaosRunner(
+            seed=seed, runs=runs, intensity=intensity, scenario=scenario
         )
-    runner = ChaosRunner(
-        seed=seed, runs=runs, intensity=intensity, scenario=scenario
-    )
     sinks = []
     if trace_path is not None:
         from repro.obs import JsonlSink

@@ -9,8 +9,9 @@ Layered so every piece is testable without the one above it:
 ``runner``         one job through SQLBarber (checkpointed, deadline-bounded)
 ``http``           the asyncio front door + worker-thread pool
 ``client``         a stdlib HTTP client (CLI, bench, tests)
-``chaos``          the seeded serve chaos campaign (kills, storms, poison)
-``restart_chaos``  the kill-the-whole-service sweep over the durable store
+``chaos``          the seeded service chaos campaigns: ``serve`` (worker
+                   kills, storms, poison) and ``restart`` (kill the whole
+                   service at every journaled transition)
 """
 
 from .admission import (
@@ -21,16 +22,16 @@ from .admission import (
     TenantAccount,
     TenantQuota,
 )
-from .chaos import ServeChaosReport, ServeChaosRunner, run_serve_chaos
+from .chaos import (
+    RestartChaosReport,
+    RestartChaosRunner,
+    ServeChaosReport,
+    ServeChaosRunner,
+)
 from .client import ServeClient, ServeClientError
 from .core import ServeConfig, ServeCore
 from .http import BackgroundServer, ServeServer
 from .jobs import BadRequest, Job, JobRequest, JobState
-from .restart_chaos import (
-    RestartChaosReport,
-    RestartChaosRunner,
-    run_restart_chaos,
-)
 from .runner import (
     KILL_POINTS,
     DrainRequested,
@@ -57,8 +58,6 @@ __all__ = [
     "Rejection",
     "RestartChaosReport",
     "RestartChaosRunner",
-    "run_restart_chaos",
-    "run_serve_chaos",
     "ServeChaosReport",
     "ServeChaosRunner",
     "ServeClient",

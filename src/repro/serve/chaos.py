@@ -1,11 +1,15 @@
-"""Serve-layer chaos: kills, queue storms, deadline expiries, poison.
+"""Service chaos: the job service under worker kills and process restarts.
 
-The pipeline chaos campaign (:mod:`repro.resilience.chaos`) attacks one
-run; this one attacks the *service*: a seeded plan of tenants and jobs is
-driven through a real :class:`~repro.serve.core.ServeCore` and
-:class:`~repro.serve.runner.JobRunner` — inline, single-threaded, on a
-:class:`~repro.resilience.clock.SimulatedClock` — while four disruption
-classes play out:
+The pipeline campaigns (:mod:`repro.resilience.chaos`) attack one run;
+the two scenarios here attack the *service*.  Both drive a seeded plan
+of tenants and jobs through a real :class:`~repro.serve.core.ServeCore`
+and :class:`~repro.serve.runner.JobRunner` — inline, single-threaded, on
+a :class:`~repro.resilience.clock.SimulatedClock` — and share the job
+plan, the payload builder, the submission tally, the kill-at-save
+attempt and the uninterrupted-twin fingerprint.
+
+``serve`` (:class:`ServeChaosRunner`) kills *workers* while four
+disruption classes play out:
 
 * **worker kills** — :class:`WorkerKilled` raised after a planned
   checkpoint save; the core requeues, the next claim resumes, and the
@@ -21,31 +25,60 @@ classes play out:
 
 Some runs instead drain mid-campaign (kills and drain are separate runs —
 the resumed-twin audit needs every killed job to actually resume),
-proving queued work survives a shutdown as accountable state.
+proving queued work survives a shutdown as accountable state.  The
+lost-job audit must come back empty after every run.
 
-The acceptance bar matches ``repro fuzz`` and ``repro chaos``: the report
-is a pure function of ``(seed, runs, intensity)`` — byte-identical JSON
-across invocations, no timestamps, no paths — the lost-job audit must
-come back empty after every run, and every resumed job must fingerprint
-bit-identically to its twin.
+``restart`` (:class:`RestartChaosRunner`) kills the *process*.  The
+campaign runs a durable core (journaling every transition through a
+:class:`~repro.serve.store.JobStore`) while the store records the exact
+on-disk journal size after every single append.  The sweep then
+simulates SIGKILL at *every* one of those transition points by
+materializing a copy of the state directory truncated to that point's
+byte sizes — the precise bytes a dead process would have left — and
+recovering a fresh core from it.  At every point:
+
+* recovery never raises, and ``audit_lost_jobs()`` is empty;
+* two independent recoveries of the same bytes produce **byte-identical**
+  state snapshots (canonical JSON compared as strings);
+* at selected points the recovered service is run to completion and
+  every completed job's fingerprint must equal the uninterrupted
+  baseline's (or, for jobs the baseline never finished — e.g. drain
+  checkpoints — an uninterrupted twin run's);
+* at the final point, recovering the *recovered* directory again must
+  reproduce the same state (recovery is idempotent), and a campaign that
+  ended in a graceful drain must be reported as a clean shutdown.
+
+A second phase feeds each run's journal to the seeded
+:class:`~repro.serve.store.StoreFaultModel` — torn tail, truncated
+segment, bit flip — and asserts recovery still completes with the damage
+quarantined into the machine-readable report, never a crash or a silent
+drop.
+
+Both scenarios run through :func:`repro.resilience.chaos.run_campaign`,
+so each report is a pure function of ``(seed, runs, intensity)``: no
+timestamps, no paths — byte-identical JSON across invocations, which is
+what the CI smokes ``cmp``.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from repro.obs import Telemetry, current as current_telemetry, use_telemetry
+from repro.resilience.chaos import CampaignReport, run_campaign
+from repro.resilience.checkpoint import canonical_json
 from repro.resilience.clock import SimulatedClock
 
 from .admission import TenantQuota
 from .core import ServeConfig, ServeCore
-from .jobs import Job, JobRequest, JobState
-from .runner import JobRunner, WorkerKilled
+from .jobs import Job, JobState
+from .runner import DrainRequested, JobOutcome, JobRunner, WorkerKilled
+from .store import StoreFaultModel
 
 #: Spec shapes rotated across jobs (aliases exercised on purpose).
 _SPEC_SHAPES = (
@@ -58,12 +91,11 @@ _TENANTS = ("acme", "globex", "initech")
 
 
 @dataclass
-class ServeChaosReport:
+class ServeChaosReport(CampaignReport):
     """Deterministic summary of one serve chaos campaign."""
 
-    seed: int
-    runs: int
-    intensity: float
+    scenario: ClassVar[str] = "serve"
+
     submitted: int = 0
     accepted: int = 0
     rejections: dict = field(default_factory=dict)  # code -> count
@@ -78,51 +110,54 @@ class ServeChaosReport:
     quarantine_rejections: int = 0
     drained_runs: int = 0
     lost_jobs: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
 
     @property
     def aborted(self) -> int:
-        """CLI-compat alias: jobs that ended in a non-completed terminal
-        state (failed or expired) — explicit outcomes, not losses."""
+        """Jobs that ended in a non-completed terminal state (failed or
+        expired) — explicit outcomes, not losses."""
         return self.failed + self.expired
 
     @property
     def ok(self) -> bool:
         return (
-            not self.failures
-            and not self.mismatches
+            super().ok
             and not self.lost_jobs
             and self.kills_fired == self.resumed_identical
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": "serve",
-            "seed": self.seed,
-            "runs": self.runs,
-            "intensity": self.intensity,
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejections": dict(sorted(self.rejections.items())),
-            "completed": self.completed,
-            "failed": self.failed,
-            "expired": self.expired,
-            "queued_at_drain": self.queued_at_drain,
-            "kills_fired": self.kills_fired,
-            "resumed_identical": self.resumed_identical,
-            "poisoned": self.poisoned,
-            "quarantined_specs": self.quarantined_specs,
-            "quarantine_rejections": self.quarantine_rejections,
-            "drained_runs": self.drained_runs,
-            "lost_jobs": list(self.lost_jobs),
-            "mismatches": list(self.mismatches),
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+@dataclass
+class RestartChaosReport(CampaignReport):
+    """Deterministic summary of one restart chaos campaign."""
+
+    scenario: ClassVar[str] = "restart"
+
+    submitted: int = 0
+    accepted: int = 0
+    rejections: dict = field(default_factory=dict)  # code -> count
+    sweep_points: int = 0
+    recovery_pairs: int = 0
+    pairs_identical: int = 0
+    idempotent_recoveries: int = 0
+    clean_shutdowns: int = 0
+    completions_checked: int = 0
+    fingerprints_identical: int = 0
+    resumed_from_checkpoint: int = 0
+    faults: dict = field(default_factory=dict)  # kind -> counts
+    lost_jobs: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return (
+            super().ok
+            and not self.lost_jobs
+            and self.sweep_points > 0
+            and self.pairs_identical == self.recovery_pairs
+            and self.fingerprints_identical == self.completions_checked
+        )
+
+
+# -- the shared plan and job mechanics ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -139,11 +174,156 @@ class _JobPlan:
 
 @dataclass(frozen=True)
 class _RunPlan:
+    scenario: str
     index: int
     max_queue_depth: int
     jobs: tuple
     storm_extra: int  # extra submissions past capacity in the burst
-    drain_after: int | None  # executions before a mid-campaign drain
+    drain_after: int | None  # executions before a drain, or None
+
+
+def _draw_job(
+    rng,
+    *,
+    poison: bool,
+    kill_at_save: int | None,
+    deadline_seconds: float | None,
+    max_service_seconds: float,
+) -> _JobPlan:
+    """The draws every job plan ends with, in their fixed order."""
+    return _JobPlan(
+        tenant=_TENANTS[int(rng.integers(0, len(_TENANTS)))],
+        priority=int(rng.integers(0, 10)),
+        seed=int(rng.integers(1, 2**16)),
+        shape=int(rng.integers(0, len(_SPEC_SHAPES))),
+        poison=poison,
+        kill_at_save=kill_at_save,
+        deadline_seconds=deadline_seconds,
+        service_seconds=float(rng.uniform(0.2, max_service_seconds)),
+    )
+
+
+def _payload(plan: _JobPlan) -> dict:
+    payload = {
+        "tenant": plan.tenant,
+        "priority": plan.priority,
+        "seed": plan.seed,
+        "specs": [dict(_SPEC_SHAPES[plan.shape])],
+        "queries": 8,
+        "intervals": 2,
+    }
+    if plan.poison:
+        # Shallow validation passes; distribution construction in the
+        # worker fails deterministically.
+        payload["cost_min"] = 500.0
+        payload["cost_max"] = 100.0
+    if plan.deadline_seconds is not None:
+        payload["deadline_seconds"] = plan.deadline_seconds
+    return payload
+
+
+def _config(plan: _RunPlan, checkpoint_root: str, **restart) -> ServeConfig:
+    """The service both scenarios attack; *restart* adds the restart
+    scenario's journal and rate-limit settings."""
+    return ServeConfig(
+        workers=2,
+        max_queue_depth=plan.max_queue_depth,
+        # Generous tenant quotas: the storms target the *global* queue;
+        # tenant-quota math has its own unit coverage.
+        default_quota=TenantQuota(max_concurrent_jobs=2, max_queued_jobs=32),
+        poison_quarantine_after=2,
+        checkpoint_root=checkpoint_root,
+        **restart,
+    )
+
+
+def _submit(
+    core, job_plan: _JobPlan, report, run_index: int
+) -> tuple[int, dict]:
+    """Submit one planned job and tally its explicit answer.
+
+    Returns ``(status, body)``.  A full-queue 429 without a retry-after
+    hint is a failure.
+    """
+    report.submitted += 1
+    status, body = core.submit(_payload(job_plan))
+    if status == 202:
+        report.accepted += 1
+        return status, body
+    code = body.get("code", body.get("error", "unknown"))
+    report.rejections[code] = report.rejections.get(code, 0) + 1
+    if (
+        status == 429
+        and code in ("queue_full", "tenant_queue_full")
+        and body.get("retry_after_seconds") is None
+    ):
+        report.failures.append(
+            {"run": run_index, "error": f"429 {code} without retry-after"}
+        )
+    return status, body
+
+
+def _submit_storm(plan: _RunPlan, core, report) -> dict:
+    """The full burst up front: every planned job, then ``storm_extra``
+    resubmissions of the first ones past queue capacity.  Returns the
+    accepted jobs' plans by job id."""
+    burst = list(plan.jobs) + [
+        plan.jobs[extra % len(plan.jobs)] for extra in range(plan.storm_extra)
+    ]
+    job_plans = {}
+    for job_plan in burst:
+        status, body = _submit(core, job_plan, report, plan.index)
+        if status == 202:
+            job_plans[body["job_id"]] = job_plan
+    return job_plans
+
+
+def _attempt(core, job: Job, job_plan: _JobPlan | None) -> JobOutcome | None:
+    """One inline execution attempt; the first one dies right after the
+    plan's kill-at-save checkpoint.  None when that kill fired (the job is
+    then requeued for resume)."""
+    kill_at = (
+        job_plan.kill_at_save
+        if job_plan is not None and job.attempts == 1
+        else None
+    )
+
+    def on_point(point: str) -> None:
+        if kill_at is not None and point == f"checkpoint_save:{kill_at}":
+            raise WorkerKilled(f"chaos kill at {point}")
+
+    runner = JobRunner(clock=core.clock, on_point=on_point)
+    try:
+        return runner.run(
+            job, resume=job.resume, max_tokens=core.effective_max_tokens(job)
+        )
+    except WorkerKilled:
+        core.requeue_after_crash(job)
+        return None
+
+
+def _twin_fingerprint(job: Job, max_tokens: int | None, twins: dict) -> str:
+    """The same request run uninterrupted (no checkpoint dir, fresh clock —
+    nothing about the service's history may leak in).
+
+    Cached in *twins* by the whole request — its tenant names the specs —
+    and the token ceiling, since storm payloads repeat.
+    """
+    key = (canonical_json(job.request.to_payload()), max_tokens)
+    if key not in twins:
+        twin = Job(job_id=f"{job.job_id}-twin", request=job.request)
+        outcome = JobRunner(clock=SimulatedClock()).run(
+            twin, max_tokens=max_tokens
+        )
+        twins[key] = (
+            outcome.result["fingerprint"]
+            if outcome.result and not outcome.error
+            else f"twin-failed: {outcome.error}"
+        )
+    return twins[key]
+
+
+# -- serve: worker kills, storms, deadlines, poison -----------------------------------
 
 
 class ServeChaosRunner:
@@ -159,9 +339,15 @@ class ServeChaosRunner:
         self.runs = runs
         self.intensity = float(intensity)
 
-    # -- planning -----------------------------------------------------------------
+    def run(self) -> ServeChaosReport:
+        return run_campaign(
+            self,
+            ServeChaosReport(
+                seed=self.seed, runs=self.runs, intensity=self.intensity
+            ),
+        )
 
-    def _plan(self, index: int) -> _RunPlan:
+    def plan(self, index: int) -> _RunPlan:
         rng = np.random.default_rng([self.seed, index])
         num_jobs = int(rng.integers(5, 9))
         drain_after = (
@@ -181,7 +367,6 @@ class ServeChaosRunner:
                 if (not poison and rng.random() < 0.35)
                 else None
             )
-            kill = kill_drawn if drain_after is None else None
             # Kills and deadlines are mutually exclusive per job: the
             # resumed-twin comparison needs a deadline-free execution.
             deadline = (
@@ -190,18 +375,16 @@ class ServeChaosRunner:
                 else None
             )
             jobs.append(
-                _JobPlan(
-                    tenant=_TENANTS[int(rng.integers(0, len(_TENANTS)))],
-                    priority=int(rng.integers(0, 10)),
-                    seed=int(rng.integers(1, 2**16)),
-                    shape=int(rng.integers(0, len(_SPEC_SHAPES))),
+                _draw_job(
+                    rng,
                     poison=poison,
-                    kill_at_save=kill,
+                    kill_at_save=kill_drawn if drain_after is None else None,
                     deadline_seconds=deadline,
-                    service_seconds=float(rng.uniform(0.2, 1.5)),
+                    max_service_seconds=1.5,
                 )
             )
         return _RunPlan(
+            scenario="serve",
             index=index,
             max_queue_depth=int(rng.integers(4, 8)),
             jobs=tuple(jobs),
@@ -209,47 +392,12 @@ class ServeChaosRunner:
             drain_after=drain_after,
         )
 
-    @staticmethod
-    def _payload(plan: _JobPlan) -> dict:
-        payload = {
-            "tenant": plan.tenant,
-            "priority": plan.priority,
-            "seed": plan.seed,
-            "specs": [dict(_SPEC_SHAPES[plan.shape])],
-            "queries": 8,
-            "intervals": 2,
-        }
-        if plan.poison:
-            # Shallow validation passes; distribution construction in the
-            # worker fails deterministically.
-            payload["cost_min"] = 500.0
-            payload["cost_max"] = 100.0
-        if plan.deadline_seconds is not None:
-            payload["deadline_seconds"] = plan.deadline_seconds
-        return payload
-
-    # -- one campaign run ----------------------------------------------------------
-
-    def _one_run(self, plan: _RunPlan, report: ServeChaosReport) -> None:
-        clock = SimulatedClock()
+    def one_run(self, plan: _RunPlan, report: ServeChaosReport) -> None:
         workdir = tempfile.mkdtemp(prefix="repro-serve-chaos-")
-        core = ServeCore(
-            ServeConfig(
-                workers=2,
-                max_queue_depth=plan.max_queue_depth,
-                # Generous tenant quotas: this scenario storms the *global*
-                # queue; tenant-quota math has its own unit coverage.
-                default_quota=TenantQuota(
-                    max_concurrent_jobs=2, max_queued_jobs=32
-                ),
-                poison_quarantine_after=2,
-                checkpoint_root=workdir,
-            ),
-            clock=clock,
-        )
+        core = ServeCore(_config(plan, workdir), clock=SimulatedClock())
         try:
-            self._submit_storm(plan, core, report)
-            self._execute_all(plan, core, report, clock)
+            job_plans = _submit_storm(plan, core, report)
+            self._execute_all(plan, core, report, job_plans)
             self._poison_aftermath(plan, core, report)
             report.lost_jobs.extend(
                 f"run{plan.index}:{job_id}" for job_id in core.audit_lost_jobs()
@@ -276,57 +424,41 @@ class ServeChaosRunner:
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    def _submit_storm(self, plan, core, report) -> None:
-        """The full burst up front: accepted jobs queue, overflow must be
-        explicitly rejected with a retry hint."""
-        payloads = [self._payload(job) for job in plan.jobs]
-        # The storm: resubmit the first payloads beyond queue capacity.
-        for extra in range(plan.storm_extra):
-            payloads.append(self._payload(plan.jobs[extra % len(plan.jobs)]))
-        for payload in payloads:
-            report.submitted += 1
-            status, body = core.submit(payload)
-            if status == 202:
-                report.accepted += 1
-                continue
-            code = body.get("code", body.get("error", "unknown"))
-            report.rejections[code] = report.rejections.get(code, 0) + 1
-            if (
-                status == 429
-                and code in ("queue_full", "tenant_queue_full")
-                and body.get("retry_after_seconds") is None
-            ):
-                report.failures.append(
-                    {
-                        "run": plan.index,
-                        "error": f"429 {code} without retry-after",
-                    }
-                )
-
-    def _execute_all(self, plan, core, report, clock) -> None:
+    def _execute_all(self, plan, core, report, job_plans) -> None:
         """Inline worker loop: claim → (maybe kill) → finish, slow workers
         aging the queue between executions."""
-        plan_cache: dict = {}
+        twins: dict = {}
         executions = 0
-        while True:
-            job = core.claim("chaos-worker")
-            if job is None:
-                break
-            job_plan = self._match_plan(plan, job, plan_cache)
-            outcome = self._execute(job, job_plan, core, report, plan.index)
-            if outcome is not None:
-                core.finish(job, outcome)
+        while (job := core.claim("chaos-worker")) is not None:
+            job_plan = job_plans.get(job.job_id)
+            resumed = job.resume
+            outcome = _attempt(core, job, job_plan)
+            if outcome is None:
+                report.kills_fired += 1
+            else:
+                if resumed and not outcome.error:
+                    # The job survived a kill: its fingerprint must match
+                    # an uninterrupted twin run under identical knobs.
+                    twin = _twin_fingerprint(
+                        job, core.effective_max_tokens(job), twins
+                    )
+                    if twin == outcome.result["fingerprint"]:
+                        report.resumed_identical += 1
+                    else:
+                        report.mismatches.append(
+                            {"run": plan.index, "job": job.job_id}
+                        )
+                core.finish(job, outcome.to_core())
             executions += 1
             # Slow worker: the queue ages while this job "ran".
-            clock.advance(
+            core.clock.advance(
                 job_plan.service_seconds if job_plan is not None else 0.5
             )
-            if plan.drain_after is not None and executions == plan.drain_after:
+            if executions == plan.drain_after:
                 core.drain()
                 report.drained_runs += 1
                 # Post-drain submissions must be explicitly refused.
-                report.submitted += 1
-                status, _body = core.submit(self._payload(plan.jobs[0]))
+                status, _body = _submit(core, plan.jobs[0], report, plan.index)
                 if status != 503:
                     report.failures.append(
                         {
@@ -334,76 +466,9 @@ class ServeChaosRunner:
                             "error": f"drain admitted a job (status {status})",
                         }
                     )
-                else:
-                    report.rejections["draining"] = (
-                        report.rejections.get("draining", 0) + 1
-                    )
                 # Workers stop claiming: queued jobs stay queued — still
                 # accountable, which the post-run audit verifies.
                 break
-
-    def _match_plan(self, plan, job: Job, cache) -> _JobPlan | None:
-        """Recover which _JobPlan produced this job (payloads can repeat —
-        any plan with the same payload is behaviorally identical)."""
-        key = job.request.spec_key() + f":{job.request.priority}"
-        if key not in cache:
-            cache[key] = None
-            for candidate in plan.jobs:
-                request = JobRequest.from_payload(self._payload(candidate))
-                if request.spec_key() + f":{candidate.priority}" == key:
-                    cache[key] = candidate
-                    break
-        return cache[key]
-
-    def _execute(self, job, job_plan, core, report, run_index) -> dict | None:
-        """One attempt; returns the outcome for finish(), or None when the
-        attempt ended in requeue (kill) instead."""
-        kill_at = (
-            job_plan.kill_at_save
-            if (
-                job_plan is not None
-                and job_plan.kill_at_save is not None
-                and job.attempts == 1
-            )
-            else None
-        )
-
-        def on_point(point: str) -> None:
-            if kill_at is not None and point == f"checkpoint_save:{kill_at}":
-                raise WorkerKilled(f"chaos kill at {point}")
-
-        runner = JobRunner(clock=core.clock, on_point=on_point)
-        resume = job.resume
-        max_tokens = core.effective_max_tokens(job)
-        try:
-            outcome = runner.run(job, resume=resume, max_tokens=max_tokens)
-        except WorkerKilled:
-            report.kills_fired += 1
-            core.requeue_after_crash(job)
-            return None
-        if resume and not outcome.error:
-            # The job survived a kill: its fingerprint must match an
-            # uninterrupted twin run under identical knobs.
-            twin = self._twin_fingerprint(job, max_tokens)
-            if twin == outcome.result["fingerprint"]:
-                report.resumed_identical += 1
-            else:
-                report.mismatches.append({"run": run_index, "job": job.job_id})
-        return outcome.to_core()
-
-    def _twin_fingerprint(self, job: Job, max_tokens: int | None) -> str:
-        """Run the same request uninterrupted (no checkpoint dir, fresh
-        clock — nothing about the service's history may leak in)."""
-        twin = Job(
-            job_id=f"{job.job_id}-twin",
-            request=job.request,
-            checkpoint_dir=None,
-        )
-        runner = JobRunner(clock=SimulatedClock())
-        outcome = runner.run(twin, max_tokens=max_tokens)
-        if outcome.error or not outcome.result:
-            return f"twin-failed: {outcome.error}"
-        return outcome.result["fingerprint"]
 
     def _poison_aftermath(self, plan, core, report) -> None:
         """Resubmit every poisoned payload: quarantined specs must now be
@@ -413,65 +478,364 @@ class ServeChaosRunner:
         for job_plan in plan.jobs:
             if not job_plan.poison:
                 continue
-            payload = self._payload(job_plan)
-            report.submitted += 1
-            status, body = core.submit(payload)
+            status, body = _submit(core, job_plan, report, plan.index)
             if status == 202:
                 # Not yet quarantined (fewer strikes than the threshold) —
                 # legitimate; run the job out so the audit stays clean.
-                report.accepted += 1
-                claimed = core.claim("chaos-worker")
-                while claimed is not None:
-                    runner = JobRunner(clock=core.clock)
-                    outcome = runner.run(claimed)
+                while (claimed := core.claim("chaos-worker")) is not None:
+                    outcome = JobRunner(clock=core.clock).run(claimed)
                     core.finish(claimed, outcome.to_core())
-                    claimed = core.claim("chaos-worker")
-            else:
-                code = body.get("code", "unknown")
-                report.rejections[code] = report.rejections.get(code, 0) + 1
-                if code == "spec_quarantined":
-                    report.quarantine_rejections += 1
+            elif body.get("code") == "spec_quarantined":
+                report.quarantine_rejections += 1
 
-    # -- the campaign ----------------------------------------------------------------
 
-    def run(self) -> ServeChaosReport:
-        report = ServeChaosReport(
-            seed=self.seed, runs=self.runs, intensity=self.intensity
+# -- restart: kill the whole service at every journaled transition --------------------
+
+
+class RestartChaosRunner:
+    """Kill-the-whole-service sweep over a seeded durable campaign."""
+
+    #: Run the recovered service to completion at every Nth sweep point
+    #: (plus always the final one) — full re-execution at every point
+    #: would re-run the pipeline hundreds of times for no extra coverage.
+    FULL_RECOVERY_STRIDE = 9
+
+    def __init__(self, seed: int = 0, runs: int = 3, intensity: float = 0.3):
+        self.seed = seed
+        self.runs = runs
+        self.intensity = float(intensity)
+
+    def run(self) -> RestartChaosReport:
+        return run_campaign(
+            self,
+            RestartChaosReport(
+                seed=self.seed, runs=self.runs, intensity=self.intensity
+            ),
         )
-        telemetry = current_telemetry()
-        with telemetry.span("serve_chaos.run", seed=self.seed, runs=self.runs):
-            for index in range(self.runs):
-                plan = self._plan(index)
+
+    def plan(self, index: int) -> _RunPlan:
+        rng = np.random.default_rng([self.seed, 0xBE57A27, index])
+        num_jobs = int(rng.integers(4, 8))
+        drain_after = (
+            int(rng.integers(1, max(num_jobs // 2, 2)))
+            if rng.random() < 0.5
+            else None
+        )
+        jobs = []
+        for _ in range(num_jobs):
+            poison = bool(rng.random() < 0.15 * (1 + self.intensity))
+            kill = (
+                int(rng.integers(1, 5))
+                if (not poison and rng.random() < 0.3 * (1 + self.intensity))
+                else None
+            )
+            jobs.append(
+                _draw_job(
+                    rng,
+                    poison=poison,
+                    kill_at_save=kill,
+                    deadline_seconds=None,
+                    max_service_seconds=1.0,
+                )
+            )
+        return _RunPlan(
+            scenario="restart",
+            index=index,
+            max_queue_depth=int(rng.integers(5, 9)),
+            jobs=tuple(jobs),
+            storm_extra=int(rng.integers(2, 5)),
+            drain_after=drain_after,
+        )
+
+    def _config(
+        self, plan: _RunPlan, state_dir: str, checkpoint_root: str
+    ) -> ServeConfig:
+        return _config(
+            plan,
+            checkpoint_root,
+            quotas={
+                # One tenant runs rate-limited so the journal carries
+                # rate_limited rejections and live bucket state — both
+                # must survive recovery like everything else.
+                _TENANTS[0]: TenantQuota(
+                    max_concurrent_jobs=2,
+                    max_queued_jobs=32,
+                    requests_per_window=4,
+                    window_seconds=30.0,
+                ),
+            },
+            state_dir=state_dir,
+            journal_fsync="off",  # same-process file reads; speed
+            segment_max_records=6,  # force rotation + seals into the sweep
+            compact_after_segments=0,  # keep every segment: the sweep
+            # truncates them to reconstruct each transition point
+        )
+
+    def one_run(self, plan: _RunPlan, report: RestartChaosReport) -> None:
+        scratch = Path(tempfile.mkdtemp(prefix="repro-restart-chaos-"))
+        try:
+            state_dir = scratch / "state"
+            checkpoint_root = str(scratch / "checkpoints")
+            baseline, append_log, drained = self._run_baseline(
+                plan, str(state_dir), checkpoint_root, report
+            )
+            twins: dict = {}
+            for point, sizes in enumerate(append_log):
+                final = point == len(append_log) - 1
+                copies = [scratch / f"p{point}-a", scratch / f"p{point}-b"]
+                for copy in copies:
+                    self._materialize(state_dir, sizes, copy)
                 try:
-                    self._one_run(plan, report)
-                except Exception as error:  # the bar: never a stack trace
+                    self._sweep_point(
+                        plan,
+                        copies,
+                        checkpoint_root,
+                        baseline,
+                        report,
+                        twins,
+                        point=point,
+                        full=final or point % self.FULL_RECOVERY_STRIDE == 0,
+                        final=final,
+                        drained=drained,
+                    )
+                finally:
+                    for copy in copies:
+                        shutil.rmtree(copy, ignore_errors=True)
+                report.sweep_points += 1
+            self._fault_phase(
+                plan, state_dir, checkpoint_root, report, scratch
+            )
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+    # -- the baseline campaign ----------------------------------------------------------
+
+    def _run_baseline(
+        self, plan: _RunPlan, state_dir: str, checkpoint_root: str, report
+    ) -> tuple[dict, list, bool]:
+        """Drive the campaign to its natural end, journaling everything.
+
+        Returns ``(baseline, append_log, drained)`` — per-job plans and
+        uninterrupted fingerprints, the per-append byte-size log the
+        sweep truncates to, and whether the run ended in a graceful drain.
+        """
+        config = self._config(plan, state_dir, checkpoint_root)
+        store = ServeCore.open_store(config, track_appends=True)
+        core = ServeCore(config, clock=SimulatedClock(), store=store)
+        baseline: dict = {
+            "fingerprints": {},
+            "job_plans": _submit_storm(plan, core, report),
+        }
+        drained = False
+        executions = 0
+        while (job := core.claim("restart-worker")) is not None:
+            job_plan = baseline["job_plans"].get(job.job_id)
+            outcome = _attempt(core, job, job_plan)
+            if outcome is not None:
+                core.finish(job, outcome.to_core())
+                if job.state == JobState.COMPLETED and job.result:
+                    baseline["fingerprints"][job.job_id] = job.result[
+                        "fingerprint"
+                    ]
+            executions += 1
+            core.clock.advance(
+                job_plan.service_seconds if job_plan is not None else 0.5
+            )
+            if executions == plan.drain_after:
+                core.drain()
+                _submit(core, plan.jobs[0], report, plan.index)
+                self._drain_checkpoint_one(core)
+                core.mark_drained()
+                drained = True
+                break
+        core.close()
+        return baseline, list(store.append_log), drained
+
+    @staticmethod
+    def _drain_checkpoint_one(core) -> None:
+        """Mimic one worker checkpointing out under drain, so drained
+        journals carry a CHECKPOINTED job for recovery to resume."""
+        job = core.claim("restart-worker")
+        if job is None:
+            return
+
+        def on_point(point: str) -> None:
+            if point.startswith("checkpoint_save:"):
+                raise DrainRequested(f"drain at {point}")
+
+        runner = JobRunner(clock=core.clock, on_point=on_point)
+        try:
+            outcome = runner.run(
+                job,
+                resume=job.resume,
+                max_tokens=core.effective_max_tokens(job),
+            )
+        except DrainRequested:
+            core.checkpoint_for_drain(job)
+        else:
+            core.finish(job, outcome.to_core())
+
+    # -- the sweep ----------------------------------------------------------------------
+
+    @staticmethod
+    def _materialize(source: Path, sizes: dict, dest: Path) -> None:
+        """The exact on-disk bytes at one transition point: every segment
+        that existed then, truncated to its recorded size."""
+        dest.mkdir(parents=True, exist_ok=True)
+        for name, size in sizes.items():
+            data = (source / name).read_bytes()[:size]
+            (dest / name).write_bytes(data)
+
+    def _recover(self, plan: _RunPlan, state_dir: str, checkpoint_root: str):
+        config = self._config(plan, str(state_dir), checkpoint_root)
+        return ServeCore.recover(config, clock=SimulatedClock())
+
+    def _sweep_point(
+        self,
+        plan: _RunPlan,
+        copies: list,
+        checkpoint_root: str,
+        baseline: dict,
+        report: RestartChaosReport,
+        twins: dict,
+        *,
+        point: int,
+        full: bool,
+        final: bool,
+        drained: bool,
+    ) -> None:
+        where = f"run{plan.index}:point{point}"
+        cores = [
+            self._recover(plan, copy, checkpoint_root) for copy in copies
+        ]
+        try:
+            lost = cores[0].audit_lost_jobs()
+            if lost:
+                report.lost_jobs.append({"where": where, "jobs": lost})
+            snapshots = [
+                canonical_json(core.state_snapshot()) for core in cores
+            ]
+            report.recovery_pairs += 1
+            if snapshots[0] == snapshots[1]:
+                report.pairs_identical += 1
+            else:
+                report.mismatches.append(
+                    {"where": where, "what": "recovery pair differs"}
+                )
+            if final and drained:
+                if cores[0].recovery.get("clean_shutdown"):
+                    report.clean_shutdowns += 1
+                else:
                     report.failures.append(
                         {
-                            "run": index,
-                            "error": f"{type(error).__name__}: {error}",
+                            "where": where,
+                            "error": "drained journal not seen as clean",
                         }
                     )
-                    telemetry.count("serve_chaos.failures")
-                telemetry.count("serve_chaos.runs")
-        return report
+            if full:
+                self._run_to_completion(
+                    cores[0], baseline, report, twins, where
+                )
+            if final:
+                # Recovering a recovered directory must change nothing: the
+                # fix-up records the first recovery journaled replay to the
+                # same state.
+                cores[1].close()  # idempotent; frees the dir lock for re-entry
+                cores.append(self._recover(plan, copies[1], checkpoint_root))
+                if canonical_json(cores[2].state_snapshot()) == snapshots[1]:
+                    report.idempotent_recoveries += 1
+                else:
+                    report.mismatches.append(
+                        {"where": where, "what": "second recovery diverged"}
+                    )
+        finally:
+            for core in cores:
+                core.close()
 
+    def _run_to_completion(
+        self, core, baseline, report, twins, where: str
+    ) -> None:
+        """Finish everything the recovered service still owes, then hold
+        each completion's fingerprint against the uninterrupted truth."""
+        while (job := core.claim("recovered-worker")) is not None:
+            resumed = job.resume
+            outcome = _attempt(core, job, baseline["job_plans"].get(job.job_id))
+            if outcome is None:
+                continue  # planned kill replays identically post-recovery
+            core.finish(job, outcome.to_core())
+            if job.state != JobState.COMPLETED or not job.result:
+                continue
+            if resumed:
+                report.resumed_from_checkpoint += 1
+            report.completions_checked += 1
+            expected = baseline["fingerprints"].get(
+                job.job_id
+            ) or _twin_fingerprint(job, core.effective_max_tokens(job), twins)
+            if job.result["fingerprint"] == expected:
+                report.fingerprints_identical += 1
+            else:
+                report.mismatches.append(
+                    {
+                        "where": where,
+                        "what": f"{job.job_id} fingerprint diverged",
+                    }
+                )
+        lost = core.audit_lost_jobs()
+        if lost:
+            report.lost_jobs.append({"where": f"{where}:done", "jobs": lost})
 
-def run_serve_chaos(
-    seed: int = 0,
-    runs: int = 4,
-    intensity: float = 0.3,
-    trace_path: str | None = None,
-) -> ServeChaosReport:
-    """CLI/CI entry point, mirroring ``run_chaos_campaign``'s shape."""
-    runner = ServeChaosRunner(seed=seed, runs=runs, intensity=intensity)
-    sinks = []
-    if trace_path is not None:
-        from repro.obs import JsonlSink
+    # -- fault injection ----------------------------------------------------------------
 
-        sinks.append(JsonlSink(trace_path))
-    telemetry = Telemetry(sinks=sinks)
-    try:
-        with use_telemetry(telemetry):
-            return runner.run()
-    finally:
-        telemetry.finish()
+    def _fault_phase(
+        self,
+        plan: _RunPlan,
+        state_dir: Path,
+        checkpoint_root: str,
+        report: RestartChaosReport,
+        scratch: Path,
+    ) -> None:
+        faults = StoreFaultModel(seed=self.seed * 1000 + plan.index)
+        for kind in StoreFaultModel.KINDS:
+            counts = report.faults.setdefault(
+                kind, {"attempted": 0, "injected": 0, "quarantined": 0}
+            )
+            counts["attempted"] += 1
+            copy = scratch / f"fault-{plan.index}-{kind}"
+            shutil.copytree(
+                state_dir,
+                copy,
+                ignore=shutil.ignore_patterns("lock.json"),
+            )
+            try:
+                injected = getattr(faults, kind)(copy)
+                if injected is None:
+                    continue
+                counts["injected"] += 1
+                try:
+                    core = self._recover(plan, copy, checkpoint_root)
+                except Exception as error:
+                    report.failures.append(
+                        {
+                            "where": f"run{plan.index}:fault:{kind}",
+                            "error": (
+                                f"recovery raised {type(error).__name__}: "
+                                f"{error}"
+                            ),
+                        }
+                    )
+                    continue
+                try:
+                    if core.recovery and core.recovery.get("quarantined"):
+                        counts["quarantined"] += 1
+                    lost = core.audit_lost_jobs()
+                    if lost:
+                        report.lost_jobs.append(
+                            {
+                                "where": f"run{plan.index}:fault:{kind}",
+                                "jobs": lost,
+                            }
+                        )
+                finally:
+                    core.close()
+            finally:
+                shutil.rmtree(copy, ignore_errors=True)

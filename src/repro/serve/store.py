@@ -535,8 +535,3 @@ class StoreFaultModel:
             return None
         path.write_bytes(bytes(raw))
         return {"kind": "bit_flip", "where": path.name, "offset": index}
-
-    def inject(self, directory: str | os.PathLike) -> dict | None:
-        """One random fault from :data:`KINDS`."""
-        kind = self.KINDS[int(self._rng.integers(0, len(self.KINDS)))]
-        return getattr(self, kind)(directory)

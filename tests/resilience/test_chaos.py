@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.resilience import ChaosRunner, InjectedCrash, run_chaos_campaign
+from repro.resilience import (
+    ChaosReport,
+    ChaosRunner,
+    InjectedCrash,
+    run_chaos_campaign,
+)
+from repro.serve import RestartChaosReport, ServeChaosReport
 
 
 class TestInjectedCrash:
@@ -64,8 +70,8 @@ class TestCampaign:
 class TestRunnerPlanning:
     def test_plans_are_deterministic_and_scenario_cycled(self):
         runner = ChaosRunner(seed=3, runs=8)
-        plans = [runner._plan(i) for i in range(8)]
-        again = [runner._plan(i) for i in range(8)]
+        plans = [runner.plan(i) for i in range(8)]
+        again = [runner.plan(i) for i in range(8)]
         assert plans == again
         assert [p.scenario for p in plans] == [
             "storm", "kill", "budget", "engine",
@@ -74,17 +80,64 @@ class TestRunnerPlanning:
 
     def test_scenario_filter_pins_every_run(self):
         runner = ChaosRunner(seed=3, runs=4, scenario="engine")
-        assert [runner._plan(i).scenario for i in range(4)] == ["engine"] * 4
+        assert [runner.plan(i).scenario for i in range(4)] == ["engine"] * 4
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos scenario"):
             ChaosRunner(seed=3, runs=1, scenario="volcano")
 
     def test_intensity_scales_the_storm(self):
-        calm = ChaosRunner(seed=3, runs=1, intensity=0.1)._plan(0)
-        wild = ChaosRunner(seed=3, runs=1, intensity=1.0)._plan(0)
+        calm = ChaosRunner(seed=3, runs=1, intensity=0.1).plan(0)
+        wild = ChaosRunner(seed=3, runs=1, intensity=1.0).plan(0)
         assert wild.storm.timeout_rate > calm.storm.timeout_rate
         assert (
             wild.engine_faults.slow_operator_rate
             > calm.engine_faults.slow_operator_rate
         )
+
+
+class TestReportShape:
+    """The generic ``to_dict`` emits exactly each report's documented keys:
+    every dataclass field plus ``ok`` (and ``scenario`` for the service
+    reports) — no properties such as ``ServeChaosReport.aborted``."""
+
+    BASE = {"seed", "runs", "intensity", "mismatches", "failures", "ok"}
+
+    @pytest.mark.parametrize(
+        "report, keys",
+        [
+            (
+                ChaosReport(seed=1, runs=2, intensity=0.3, database="fuzz"),
+                BASE | {
+                    "database", "scenarios", "completed", "aborted",
+                    "kills_fired", "resumed_identical",
+                    "transport_faults_injected", "retry_attempts",
+                    "quarantines", "engine_faults_injected",
+                    "engine_runs_identical", "scenario_filter",
+                },
+            ),
+            (
+                ServeChaosReport(seed=1, runs=2, intensity=0.3),
+                BASE | {
+                    "scenario", "submitted", "accepted", "rejections",
+                    "completed", "failed", "expired", "queued_at_drain",
+                    "kills_fired", "resumed_identical", "poisoned",
+                    "quarantined_specs", "quarantine_rejections",
+                    "drained_runs", "lost_jobs",
+                },
+            ),
+            (
+                RestartChaosReport(seed=1, runs=2, intensity=0.3),
+                BASE | {
+                    "scenario", "submitted", "accepted", "rejections",
+                    "sweep_points", "recovery_pairs", "pairs_identical",
+                    "idempotent_recoveries", "clean_shutdowns",
+                    "completions_checked", "fingerprints_identical",
+                    "resumed_from_checkpoint", "faults", "lost_jobs",
+                },
+            ),
+        ],
+        ids=["chaos", "serve", "restart"],
+    )
+    def test_to_dict_keys(self, report, keys):
+        assert set(report.to_dict()) == keys

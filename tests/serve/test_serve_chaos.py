@@ -6,23 +6,23 @@ poisoned specs through to quarantine rejection, and a mid-campaign drain.
 """
 
 from repro.resilience import run_chaos_campaign
-from repro.serve import ServeChaosRunner, run_serve_chaos
+from repro.serve import ServeChaosRunner
 
 
 class TestDeterminism:
     def test_two_campaigns_are_byte_identical(self):
-        first = run_serve_chaos(seed=10, runs=2)
-        second = run_serve_chaos(seed=10, runs=2)
+        first = run_chaos_campaign(scenario="serve", seed=10, runs=2)
+        second = run_chaos_campaign(scenario="serve", seed=10, runs=2)
         assert first.to_json() == second.to_json()
 
     def test_different_seeds_differ(self):
         assert (
-            run_serve_chaos(seed=10, runs=1).to_json()
-            != run_serve_chaos(seed=11, runs=1).to_json()
+            run_chaos_campaign(scenario="serve", seed=10, runs=1).to_json()
+            != run_chaos_campaign(scenario="serve", seed=11, runs=1).to_json()
         )
 
     def test_no_wall_clock_or_paths_in_report(self):
-        report = run_serve_chaos(seed=10, runs=1)
+        report = run_chaos_campaign(scenario="serve", seed=10, runs=1)
         text = report.to_json()
         assert "/tmp" not in text
         assert "time" not in report.to_dict()
@@ -30,7 +30,7 @@ class TestDeterminism:
 
 class TestInvariants:
     def test_ci_seed_covers_every_disruption_class(self):
-        report = run_serve_chaos(seed=10, runs=4)
+        report = run_chaos_campaign(scenario="serve", seed=10, runs=4)
         assert report.ok, report.to_json()
         assert report.lost_jobs == []
         assert report.mismatches == []
@@ -43,13 +43,13 @@ class TestInvariants:
         assert report.rejections.get("queue_full", 0) > 0
 
     def test_every_submission_got_an_explicit_answer(self):
-        report = run_serve_chaos(seed=10, runs=2)
+        report = run_chaos_campaign(scenario="serve", seed=10, runs=2)
         answered = report.accepted + sum(report.rejections.values())
         assert answered == report.submitted
 
     def test_cli_compat_surface(self):
-        """cmd_chaos reads these attributes off every scenario's report."""
-        report = run_serve_chaos(seed=10, runs=1)
+        """The outcome counters and the JSON report the CLI prints."""
+        report = run_chaos_campaign(scenario="serve", seed=10, runs=1)
         assert isinstance(report.aborted, int)
         assert isinstance(report.completed, int)
         assert isinstance(report.failures, list)
@@ -57,11 +57,6 @@ class TestInvariants:
 
 
 class TestDispatch:
-    def test_campaign_dispatches_serve_scenario(self):
-        via_campaign = run_chaos_campaign(seed=10, runs=1, scenario="serve")
-        direct = run_serve_chaos(seed=10, runs=1)
-        assert via_campaign.to_json() == direct.to_json()
-
     def test_runner_is_plain_object(self):
         runner = ServeChaosRunner(seed=1, runs=1, intensity=0.5)
         assert runner.intensity == 0.5

@@ -227,16 +227,53 @@ class TestObservabilityCli:
         ]
         assert any(e["type"] == "metrics" for e in events)
 
-    def test_chaos_trace_out(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "7", "--runs", "2", "--intensity", "0.3"],
+            ["--seed", "10", "--runs", "1", "--scenario", "serve"],
+            ["--seed", "6", "--runs", "1", "--scenario", "restart"],
+        ],
+        ids=["default", "serve", "restart"],
+    )
+    def test_chaos_trace_out(self, tmp_path, capsys, argv):
         trace = tmp_path / "chaos.jsonl"
-        code = main([
-            "chaos", "--seed", "7", "--runs", "2", "--intensity", "0.3",
-            "--trace-out", str(trace),
-        ])
+        code = main(["chaos", *argv, "--trace-out", str(trace)])
         assert code == 0
         events = [
             json.loads(line) for line in trace.read_text().splitlines()
         ]
         assert events, "chaos trace empty"
-        names = [e.get("event") for e in events if e["type"] == "event"]
-        assert "stage_started" in names
+        spans = [e["name"] for e in events if e["type"] == "span"]
+        assert spans.count("chaos.run") == 1
+        if "--scenario" not in argv:
+            # Pipeline campaigns forward each run's progress events.
+            names = [e.get("event") for e in events if e["type"] == "event"]
+            assert "stage_started" in names
+
+    @pytest.mark.parametrize(
+        "scenario", [None, "serve", "restart"],
+        ids=["default", "serve", "restart"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--runs", "0"],
+            ["--runs", "-3", "--intensity", "-1"],
+            ["--intensity", "1.5"],
+        ],
+        ids=["zero-runs", "negative", "intensity-above-one"],
+    )
+    def test_chaos_rejects_invalid_inputs(self, capsys, scenario, bad):
+        argv = ["chaos", *bad]
+        if scenario is not None:
+            argv += ["--scenario", scenario]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro: error:")
+        ]
+        assert len(errors) == 1, captured.err
