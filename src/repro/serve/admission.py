@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-#: Rejection codes issued *after* the rate-limit check — their request
-#: consumed a rate token.  Journal replay re-feeds these (and accepted
-#: submissions) into the limiter to rebuild exact bucket state.
+#: Rejection codes issued *after* a passed rate-limit check — their
+#: request consumes a rate token, exactly like an accepted submission.
 CONSUMING_REJECTION_CODES = frozenset(
     {"queue_full", "tenant_queue_full", "tokens_exhausted",
      "dollars_exhausted"}
@@ -71,8 +70,12 @@ class RateLimiter:
     Pure arithmetic over the ``now`` values it is handed — no wall-clock
     reads — so under :class:`~repro.resilience.clock.SimulatedClock` the
     verdict sequence (and every ``retry_after_seconds`` hint) is a pure
-    function of the submission timeline, and journal replay can rebuild
-    the exact bucket state by re-feeding the recorded timestamps.
+    function of the submission timeline.  A bucket changes in two ways
+    only: :meth:`check` refills it to ``now`` and reads it, and
+    :meth:`consume` takes a token.  The serve core's one transition
+    applier calls ``consume`` for every request that passed the check
+    and re-runs a refused check's refill, live and on journal replay
+    alike, so a recovered bucket is the live one.
     """
 
     def __init__(self):
@@ -93,21 +96,20 @@ class RateLimiter:
     def check(
         self, tenant: str, quota: TenantQuota, now: float
     ) -> float | None:
-        """Consume one token; None = allowed, else exact seconds until
-        the next token exists."""
+        """Refill to *now* without consuming: None = a token is there,
+        else exact seconds until the next token exists."""
         if quota.requests_per_window is None:
             return None
         bucket = self._refill(tenant, quota, now)
         if bucket[0] >= 1.0:
-            bucket[0] -= 1.0
             return None
         return round((1.0 - bucket[0]) / quota.refill_rate(), 6)
 
-    def force(self, tenant: str, quota: TenantQuota, at: float) -> None:
-        """Journal replay: re-apply a consumption that happened at *at*."""
+    def consume(self, tenant: str, quota: TenantQuota, now: float) -> None:
+        """Take one token at *now* — the only write that lowers a bucket."""
         if quota.requests_per_window is None:
             return
-        bucket = self._refill(tenant, quota, at)
+        bucket = self._refill(tenant, quota, now)
         bucket[0] = max(bucket[0] - 1.0, 0.0)
 
     def state(self) -> dict:
@@ -225,11 +227,14 @@ class AdmissionController:
     ) -> Rejection | None:
         """None = admitted; otherwise the explicit rejection to return.
 
-        Check order is part of the contract (journal replay re-derives
-        rate-bucket state from it): draining and quarantine verdicts are
-        free — they consume no rate token; everything at and past the
-        rate check does.  *now* is the core clock's time; without it the
-        rate check is skipped (legacy callers, rate limiting unarmed).
+        Rendering a verdict consumes nothing: the rate check only refills
+        and reads the bucket.  Check order decides who pays a rate token
+        — draining and quarantine verdicts are free, a rate-limited one
+        is free too, and everything past a passed rate check (acceptance
+        or a :data:`CONSUMING_REJECTION_CODES` rejection) costs one,
+        which the core takes when it applies the verdict.  *now* is the
+        core clock's time; without it the rate check is skipped (legacy
+        callers, rate limiting unarmed).
         """
         if draining:
             # No retry hint on purpose: drain ends in process exit, not

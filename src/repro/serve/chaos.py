@@ -279,9 +279,9 @@ def _submit_storm(plan: _RunPlan, core, report) -> dict:
 
 
 def _attempt(core, job: Job, job_plan: _JobPlan | None) -> JobOutcome | None:
-    """One inline execution attempt; the first one dies right after the
-    plan's kill-at-save checkpoint.  None when that kill fired (the job is
-    then requeued for resume)."""
+    """One inline execution attempt, recorded on *core*; the first one dies
+    right after the plan's kill-at-save checkpoint.  None when that kill
+    fired (the job is then requeued for resume)."""
     kill_at = (
         job_plan.kill_at_save
         if job_plan is not None and job.attempts == 1
@@ -292,14 +292,7 @@ def _attempt(core, job: Job, job_plan: _JobPlan | None) -> JobOutcome | None:
         if kill_at is not None and point == f"checkpoint_save:{kill_at}":
             raise WorkerKilled(f"chaos kill at {point}")
 
-    runner = JobRunner(clock=core.clock, on_point=on_point)
-    try:
-        return runner.run(
-            job, resume=job.resume, max_tokens=core.effective_max_tokens(job)
-        )
-    except WorkerKilled:
-        core.requeue_after_crash(job)
-        return None
+    return JobRunner(clock=core.clock, on_point=on_point).attempt(core, job)
 
 
 def _twin_fingerprint(job: Job, max_tokens: int | None, twins: dict) -> str:
@@ -425,8 +418,8 @@ class ServeChaosRunner:
             shutil.rmtree(workdir, ignore_errors=True)
 
     def _execute_all(self, plan, core, report, job_plans) -> None:
-        """Inline worker loop: claim → (maybe kill) → finish, slow workers
-        aging the queue between executions."""
+        """Inline worker loop: claim → attempt (maybe killed), slow
+        workers aging the queue between executions."""
         twins: dict = {}
         executions = 0
         while (job := core.claim("chaos-worker")) is not None:
@@ -435,20 +428,16 @@ class ServeChaosRunner:
             outcome = _attempt(core, job, job_plan)
             if outcome is None:
                 report.kills_fired += 1
-            else:
-                if resumed and not outcome.error:
-                    # The job survived a kill: its fingerprint must match
-                    # an uninterrupted twin run under identical knobs.
-                    twin = _twin_fingerprint(
-                        job, core.effective_max_tokens(job), twins
+            elif resumed and not outcome.error:
+                # The job survived a kill: its fingerprint must match an
+                # uninterrupted twin run under identical knobs.
+                twin = _twin_fingerprint(job, job.effective_max_tokens, twins)
+                if twin == outcome.result["fingerprint"]:
+                    report.resumed_identical += 1
+                else:
+                    report.mismatches.append(
+                        {"run": plan.index, "job": job.job_id}
                     )
-                    if twin == outcome.result["fingerprint"]:
-                        report.resumed_identical += 1
-                    else:
-                        report.mismatches.append(
-                            {"run": plan.index, "job": job.job_id}
-                        )
-                core.finish(job, outcome.to_core())
             executions += 1
             # Slow worker: the queue ages while this job "ran".
             core.clock.advance(
@@ -483,8 +472,7 @@ class ServeChaosRunner:
                 # Not yet quarantined (fewer strikes than the threshold) —
                 # legitimate; run the job out so the audit stays clean.
                 while (claimed := core.claim("chaos-worker")) is not None:
-                    outcome = JobRunner(clock=core.clock).run(claimed)
-                    core.finish(claimed, outcome.to_core())
+                    JobRunner(clock=core.clock).attempt(core, claimed)
             elif body.get("code") == "spec_quarantined":
                 report.quarantine_rejections += 1
 
@@ -630,13 +618,9 @@ class RestartChaosRunner:
         executions = 0
         while (job := core.claim("restart-worker")) is not None:
             job_plan = baseline["job_plans"].get(job.job_id)
-            outcome = _attempt(core, job, job_plan)
-            if outcome is not None:
-                core.finish(job, outcome.to_core())
-                if job.state == JobState.COMPLETED and job.result:
-                    baseline["fingerprints"][job.job_id] = job.result[
-                        "fingerprint"
-                    ]
+            _attempt(core, job, job_plan)
+            if job.state == JobState.COMPLETED and job.result:
+                baseline["fingerprints"][job.job_id] = job.result["fingerprint"]
             executions += 1
             core.clock.advance(
                 job_plan.service_seconds if job_plan is not None else 0.5
@@ -663,17 +647,7 @@ class RestartChaosRunner:
             if point.startswith("checkpoint_save:"):
                 raise DrainRequested(f"drain at {point}")
 
-        runner = JobRunner(clock=core.clock, on_point=on_point)
-        try:
-            outcome = runner.run(
-                job,
-                resume=job.resume,
-                max_tokens=core.effective_max_tokens(job),
-            )
-        except DrainRequested:
-            core.checkpoint_for_drain(job)
-        else:
-            core.finish(job, outcome.to_core())
+        JobRunner(clock=core.clock, on_point=on_point).attempt(core, job)
 
     # -- the sweep ----------------------------------------------------------------------
 
@@ -759,18 +733,15 @@ class RestartChaosRunner:
         each completion's fingerprint against the uninterrupted truth."""
         while (job := core.claim("recovered-worker")) is not None:
             resumed = job.resume
-            outcome = _attempt(core, job, baseline["job_plans"].get(job.job_id))
-            if outcome is None:
-                continue  # planned kill replays identically post-recovery
-            core.finish(job, outcome.to_core())
+            _attempt(core, job, baseline["job_plans"].get(job.job_id))
             if job.state != JobState.COMPLETED or not job.result:
-                continue
+                continue  # a planned kill replays identically post-recovery
             if resumed:
                 report.resumed_from_checkpoint += 1
             report.completions_checked += 1
             expected = baseline["fingerprints"].get(
                 job.job_id
-            ) or _twin_fingerprint(job, core.effective_max_tokens(job), twins)
+            ) or _twin_fingerprint(job, job.effective_max_tokens, twins)
             if job.result["fingerprint"] == expected:
                 report.fingerprints_identical += 1
             else:

@@ -14,11 +14,23 @@ expiry and retry-after hint is a pure function of the submission
 sequence, which is what makes the serve chaos reports byte-identical
 across runs.
 
-**Durability.**  With a :class:`~repro.serve.store.JobStore` attached,
-every lifecycle transition is journaled *after* it mutates state, while
-the core lock is still held — the journal is therefore a serialized
-history of the state machine, and :meth:`ServeCore.recover` replays it
-into a fresh process:
+**One state machine.**  Every lifecycle transition is one record —
+``submitted``, ``rejected``, ``claimed``, ``expired``, ``finished``,
+``gave_up``, ``requeued``, ``checkpointed``, ``resumed``, ``drain``,
+``drained``, ``recovered`` — and :meth:`ServeCore._apply` is the one
+code path that applies a record.  The public methods only *decide* (the
+admission verdict, the heap pop, the deadline check, the token-ceiling
+freeze, give-up vs. requeue) and hand the decided record to
+``_commit``, which applies it and then, with a
+:class:`~repro.serve.store.JobStore` attached, journals it stamped with
+the decision's time — all under the core lock.  A job's state move is
+the first write, so a transition the state machine refuses (a terminal
+job cannot move) raises having changed and journaled nothing.
+
+**Durability.**  The journal is therefore a serialized history of the
+state machine, and :meth:`ServeCore.recover` replays it into a fresh
+process through the same ``_apply`` — recovery runs the live code, not
+a copy of it; replay only forces the state moves.  Then:
 
 * queued jobs re-enter the priority heap in their original
   priority-FIFO order (the heap sequence number is journaled);
@@ -26,13 +38,13 @@ into a fresh process:
   existing :meth:`requeue_after_crash` strike path, so a job that keeps
   killing whole *services* poisons out exactly like one that kills
   workers;
-* CHECKPOINTED jobs are resurrected to QUEUED with ``resume=True`` —
-  their checkpoint dirs carry the progress, and the checkpoint layer's
-  contract makes the finished fingerprint bit-identical to an
-  uninterrupted run;
+* CHECKPOINTED jobs are resurrected to QUEUED with ``resume=True`` (a
+  ``resumed`` record) — their checkpoint dirs carry the progress, and
+  the checkpoint layer's contract makes the finished fingerprint
+  bit-identical to an uninterrupted run;
 * tenant ledgers (token/dollar spend, lifetime counts), spec-quarantine
-  strikes, rejection counters, and rate-limiter buckets are all
-  reconstructed from the same records.
+  strikes, rejection counters, and rate-limiter buckets come out of the
+  replayed records exactly as the live records left them.
 
 Recovery is damage-tolerant: whatever the store quarantined (torn
 tails, bit flips, truncated segments) plus any record that no longer
@@ -83,6 +95,26 @@ class ServeConfig:
     journal_fsync: str = "rotate"
     segment_max_records: int = 512
     compact_after_segments: int = 4
+
+
+#: The state each job record moves its job to (``finished`` names its own).
+_MOVES = {
+    "claimed": JobState.RUNNING,
+    "expired": JobState.EXPIRED,
+    "gave_up": JobState.FAILED,
+    "requeued": JobState.QUEUED,
+    "resumed": JobState.QUEUED,
+    "checkpointed": JobState.CHECKPOINTED,
+}
+
+
+def _spend(outcome: dict | None) -> dict:
+    """The record fields that bill one attempt's spend to its tenant."""
+    outcome = outcome or {}
+    return {
+        "tokens": int(outcome.get("tokens", 0)),
+        "dollars": float(outcome.get("dollars", 0.0)),
+    }
 
 
 class ServeCore:
@@ -151,62 +183,52 @@ class ServeCore:
             request = JobRequest.from_payload(payload)
         except BadRequest as error:
             with self._lock:
-                self._count_rejection("bad_request")
-                self._journal(
-                    "rejected", {"tenant": None, "code": "bad_request"}
+                self._commit(
+                    "rejected",
+                    self.clock.now(),
+                    {"tenant": None, "code": "bad_request"},
                 )
+                self._count("serve.rejected", code="bad_request")
             return 400, {"error": "bad_request", "reason": str(error)}
         with self._lock:
             now = self.clock.now()
-            account = self._account(request.tenant)
             verdict = self.admission.admit(
-                account,
+                self._account(request.tenant),
                 queue_depth=len(self._heap),
                 draining=self.draining,
                 spec_quarantined=request.spec_key() in self.quarantined_specs,
                 now=now,
             )
             if verdict is not None:
-                self._count_rejection(verdict.code)
-                self._journal(
+                self._commit(
                     "rejected",
+                    now,
                     {"tenant": request.tenant, "code": verdict.code},
                 )
+                self._count("serve.rejected", code=verdict.code)
                 return verdict.status, verdict.to_dict()
-            seq = self._take_seq()
-            job = Job(
-                job_id=f"job-{seq:04d}",
-                request=request,
-                submitted_at=now,
-                deadline_at=(
-                    now + request.deadline_seconds
-                    if request.deadline_seconds is not None
-                    else None
-                ),
-                checkpoint_dir=str(
-                    Path(self.config.checkpoint_root) / f"job-{seq:04d}"
-                ),
-            )
-            job.events.append((JobState.QUEUED, now))
-            job.heap_seq = seq
-            self.jobs[job.job_id] = job
-            heapq.heappush(self._heap, (-request.priority, seq, job.job_id))
-            account.queued += 1
-            account.jobs_submitted += 1
-            self._count("serve.submitted", tenant=request.tenant)
-            self._journal(
+            job_id = f"job-{self._next_seq:04d}"
+            self._commit(
                 "submitted",
+                now,
                 {
-                    "job_id": job.job_id,
-                    "heap_seq": seq,
+                    "job_id": job_id,
+                    "heap_seq": self._next_seq,
                     "payload": request.to_payload(),
-                    "deadline_at": job.deadline_at,
-                    "checkpoint_dir": job.checkpoint_dir,
+                    "deadline_at": (
+                        now + request.deadline_seconds
+                        if request.deadline_seconds is not None
+                        else None
+                    ),
+                    "checkpoint_dir": str(
+                        Path(self.config.checkpoint_root) / job_id
+                    ),
                 },
             )
+            self._count("serve.submitted", tenant=request.tenant)
             return 202, {
-                "job_id": job.job_id,
-                "state": job.state,
+                "job_id": job_id,
+                "state": JobState.QUEUED,
                 "queue_depth": len(self._heap),
             }
 
@@ -229,18 +251,18 @@ class ServeCore:
                 entry = heapq.heappop(self._heap)
                 job = self.jobs[entry[2]]
                 if job.deadline_at is not None and now >= job.deadline_at:
-                    job.transition(JobState.EXPIRED, now)
-                    job.finished_at = now
-                    job.error = (
-                        f"deadline expired after "
-                        f"{now - job.submitted_at:.3f}s in queue"
+                    self._commit(
+                        "expired",
+                        now,
+                        {
+                            "job_id": job.job_id,
+                            "error": (
+                                f"deadline expired after "
+                                f"{now - job.submitted_at:.3f}s in queue"
+                            ),
+                        },
                     )
-                    account = self._account(job.request.tenant)
-                    account.queued -= 1
                     self._count("serve.expired", tenant=job.request.tenant)
-                    self._journal(
-                        "expired", {"job_id": job.job_id, "error": job.error}
-                    )
                     continue
                 account = self._account(job.request.tenant)
                 if account.running >= account.quota.max_concurrent_jobs:
@@ -252,80 +274,66 @@ class ServeCore:
                 heapq.heappush(self._heap, entry)
             if claimed is None:
                 return None
-            account = self._account(claimed.request.tenant)
-            account.queued -= 1
-            account.running += 1
-            claimed.transition(JobState.RUNNING, now)
-            claimed.started_at = (
-                claimed.started_at if claimed.started_at is not None else now
-            )
-            claimed.attempts += 1
-            claimed.worker = worker
+            ceiling = claimed.effective_max_tokens
             if not claimed.budget_frozen:
                 # Freeze the token ceiling at first dispatch: a resume must
                 # run under the budget the original attempt had, or the
                 # abort point moves and bit-identical resume breaks.  (The
                 # ceiling is execution-only in the checkpoint run key, so
                 # the checkpoint itself loads either way.)
-                remaining = account.remaining_tokens()
                 ceilings = [
                     c
-                    for c in (claimed.request.max_tokens, remaining)
+                    for c in (
+                        claimed.request.max_tokens,
+                        account.remaining_tokens(),
+                    )
                     if c is not None
                 ]
-                claimed.effective_max_tokens = (
-                    min(ceilings) if ceilings else None
-                )
-                claimed.budget_frozen = True
-            self._count("serve.claimed", tenant=claimed.request.tenant)
-            self._journal(
+                ceiling = min(ceilings) if ceilings else None
+            self._commit(
                 "claimed",
+                now,
                 {
                     "job_id": claimed.job_id,
                     "worker": worker,
-                    "attempts": claimed.attempts,
-                    "started_at": claimed.started_at,
-                    "effective_max_tokens": claimed.effective_max_tokens,
+                    "attempts": claimed.attempts + 1,
+                    "started_at": (
+                        claimed.started_at
+                        if claimed.started_at is not None
+                        else now
+                    ),
+                    "effective_max_tokens": ceiling,
                 },
             )
+            self._count("serve.claimed", tenant=claimed.request.tenant)
             return claimed
-
-    def effective_max_tokens(self, job: Job) -> int | None:
-        """The job's frozen token ceiling (set at first claim)."""
-        return job.effective_max_tokens
 
     # -- completion -------------------------------------------------------------------
 
     def finish(self, job: Job, outcome: dict) -> None:
-        """Record a finished attempt: COMPLETED, or FAILED with a reason."""
+        """Record a finished attempt: COMPLETED, or FAILED with a reason.
+
+        Every attempt bills — completed, failed, crashed, or drained —
+        because the LLM metered all of them; this is the same
+        spend-is-spend rule the budget guard applies within a run.
+        """
+        failed = bool(outcome.get("error"))
         with self._lock:
-            now = self.clock.now()
-            account = self._account(job.request.tenant)
-            account.running -= 1
-            self._bill(account, outcome)
-            if outcome.get("error"):
-                job.error = str(outcome["error"])
-                job.transition(JobState.FAILED, now)
-                self._strike_if_poisoned(job, outcome)
-                self._count("serve.failed", tenant=job.request.tenant)
-            else:
-                job.result = outcome.get("result")
-                job.transition(JobState.COMPLETED, now)
-                account.jobs_completed += 1
-                self._count("serve.completed", tenant=job.request.tenant)
-            job.finished_at = now
-            job.worker = None
-            self._journal(
+            self._commit(
                 "finished",
+                self.clock.now(),
                 {
                     "job_id": job.job_id,
-                    "state": job.state,
-                    "error": job.error,
-                    "result": job.result,
-                    "tokens": int(outcome.get("tokens", 0)),
-                    "dollars": float(outcome.get("dollars", 0.0)),
+                    "state": JobState.FAILED if failed else JobState.COMPLETED,
+                    "error": str(outcome["error"]) if failed else job.error,
+                    "result": job.result if failed else outcome.get("result"),
                     "poison": bool(outcome.get("poison")),
+                    **_spend(outcome),
                 },
+            )
+            self._count(
+                "serve.failed" if failed else "serve.completed",
+                tenant=job.request.tenant,
             )
 
     def requeue_after_crash(self, job: Job, outcome: dict | None = None) -> None:
@@ -340,87 +348,41 @@ class ServeCore:
         RUNNING at process death through this same path.
         """
         with self._lock:
-            now = self.clock.now()
-            account = self._account(job.request.tenant)
-            account.running -= 1
-            self._bill(account, outcome or {})
-            tokens = int((outcome or {}).get("tokens", 0))
-            dollars = float((outcome or {}).get("dollars", 0.0))
             if job.attempts >= self.config.max_attempts:
-                job.error = (
-                    f"gave up after {job.attempts} attempts "
-                    f"(worker died each time)"
-                )
-                job.transition(JobState.FAILED, now)
-                job.finished_at = now
-                job.worker = None
-                self._strike(job.request.spec_key())
-                self._count("serve.poisoned", tenant=job.request.tenant)
-                self._journal(
+                self._commit(
                     "gave_up",
+                    self.clock.now(),
                     {
                         "job_id": job.job_id,
-                        "error": job.error,
-                        "tokens": tokens,
-                        "dollars": dollars,
+                        "error": (
+                            f"gave up after {job.attempts} attempts "
+                            f"(worker died each time)"
+                        ),
+                        **_spend(outcome),
                     },
                 )
+                self._count("serve.poisoned", tenant=job.request.tenant)
                 return
-            job.resume = True
-            job.worker = None
-            job.transition(JobState.QUEUED, now)
-            seq = self._take_seq()
-            job.heap_seq = seq
-            heapq.heappush(
-                self._heap, (-job.request.priority, seq, job.job_id)
-            )
-            account.queued += 1
-            self._count("serve.requeued", tenant=job.request.tenant)
-            self._journal(
+            self._commit(
                 "requeued",
+                self.clock.now(),
                 {
                     "job_id": job.job_id,
-                    "heap_seq": seq,
-                    "tokens": tokens,
-                    "dollars": dollars,
+                    "heap_seq": self._next_seq,
+                    **_spend(outcome),
                 },
             )
+            self._count("serve.requeued", tenant=job.request.tenant)
 
     def checkpoint_for_drain(self, job: Job, outcome: dict | None = None) -> None:
         """Drain landed mid-job: progress is on disk, mark it resumable."""
         with self._lock:
-            now = self.clock.now()
-            account = self._account(job.request.tenant)
-            account.running -= 1
-            self._bill(account, outcome or {})
-            job.resume = True
-            job.worker = None
-            job.transition(JobState.CHECKPOINTED, now)
-            job.finished_at = now
-            self._count("serve.checkpointed", tenant=job.request.tenant)
-            self._journal(
+            self._commit(
                 "checkpointed",
-                {
-                    "job_id": job.job_id,
-                    "tokens": int((outcome or {}).get("tokens", 0)),
-                    "dollars": float((outcome or {}).get("dollars", 0.0)),
-                },
+                self.clock.now(),
+                {"job_id": job.job_id, **_spend(outcome)},
             )
-
-    @staticmethod
-    def _bill(account: TenantAccount, outcome: dict) -> None:
-        """Charge an attempt's spend to the tenant (lock already held).
-
-        Every attempt bills — completed, failed, crashed, or drained —
-        because the LLM metered all of them; this is the same
-        spend-is-spend rule the budget guard applies within a run.
-        """
-        account.tokens_spent += int(outcome.get("tokens", 0))
-        account.dollars_spent += float(outcome.get("dollars", 0.0))
-
-    def _strike_if_poisoned(self, job: Job, outcome: dict) -> None:
-        if outcome.get("poison"):
-            self._strike(job.request.spec_key())
+            self._count("serve.checkpointed", tenant=job.request.tenant)
 
     def _strike(self, spec_key: str) -> None:
         strikes = self.spec_strikes.get(spec_key, 0) + 1
@@ -441,9 +403,8 @@ class ServeCore:
         :meth:`checkpoint_for_drain`.
         """
         with self._lock:
-            self.draining = True
+            self._commit("drain", self.clock.now(), {})
             self._count("serve.drain")
-            self._journal("drain", {})
             return {
                 "draining": True,
                 "queued": sum(
@@ -469,9 +430,8 @@ class ServeCore:
         with self._lock:
             if self.drained or not self.draining:
                 return
-            self.drained = True
+            self._commit("drained", self.clock.now(), {})
             self._count("serve.drained")
-            self._journal("drained", {})
 
     # -- introspection ------------------------------------------------------------------
 
@@ -588,11 +548,12 @@ class ServeCore:
         Opens ``config.state_dir`` (acquiring its lock — a genuinely dead
         previous holder is taken over via the lock's staleness rules;
         *takeover* force-breaks it for in-process restart simulation),
-        loads the newest valid snapshot, replays newer journal segments,
-        then repairs what death interrupted: RUNNING jobs are requeued
-        through the crash-strike path, CHECKPOINTED jobs are resurrected
-        as QUEUED resumes, tenant queued/running counts and the priority
-        heap are rebuilt from final job states.  Never raises for journal
+        loads the newest valid snapshot, replays newer journal segments
+        through the live :meth:`_apply`, then repairs what death
+        interrupted: tenant queued/running counts and the priority heap
+        are rebuilt from final job states, RUNNING jobs are requeued
+        through the crash-strike path, and CHECKPOINTED jobs are resumed
+        as QUEUED (a ``resumed`` commit).  Never raises for journal
         damage — see ``core.recovery`` for what was quarantined.
         """
         store = cls.open_store(
@@ -623,7 +584,9 @@ class ServeCore:
             last_at = max(last_at, self._restore_snapshot(snapshot))
         for record in records:
             try:
-                problem = self._apply_record(record)
+                problem = self._apply(
+                    record["t"], float(record["at"]), record["d"], replay=True
+                )
             except Exception as error:  # damaged data must never crash recovery
                 problem = f"{type(error).__name__}: {error}"
             if problem is not None:
@@ -661,8 +624,9 @@ class ServeCore:
                 telemetry.count(
                     "serve.store.quarantined", kind=kind, value=count
                 )
-        self._journal(
+        self._commit(
             "recovered",
+            self.clock.now(),
             {
                 "records_replayed": report["records_replayed"],
                 "quarantined": counts,
@@ -692,109 +656,6 @@ class ServeCore:
         self.rejections = {k: int(v) for k, v in state["rejections"].items()}
         self.admission.limiter.restore(state.get("limiter", {}))
         return float(state.get("last_at", 0.0))
-
-    def _apply_record(self, record: dict) -> str | None:
-        """Replay one journal record; a string return quarantines it."""
-        rtype, at, data = record["t"], float(record["at"]), record["d"]
-        if rtype == "rejected":
-            code = str(data["code"])
-            self.rejections[code] = self.rejections.get(code, 0) + 1
-            tenant = data.get("tenant")
-            if tenant is not None:
-                self._account(tenant)  # live submit created it too
-                if code in CONSUMING_REJECTION_CODES:
-                    self.admission.limiter.force(
-                        tenant, self.admission.quota_for(tenant), at
-                    )
-            return None
-        if rtype == "submitted":
-            request = JobRequest.from_payload(data["payload"])
-            job = Job(
-                job_id=str(data["job_id"]),
-                request=request,
-                submitted_at=at,
-                deadline_at=data.get("deadline_at"),
-                checkpoint_dir=data.get("checkpoint_dir"),
-            )
-            job.events.append((JobState.QUEUED, at))
-            job.heap_seq = int(data["heap_seq"])
-            self.jobs[job.job_id] = job
-            account = self._account(request.tenant)
-            account.jobs_submitted += 1
-            self.admission.limiter.force(
-                request.tenant, self.admission.quota_for(request.tenant), at
-            )
-            self._bump_seq(job.heap_seq)
-            return None
-        if rtype == "drain":
-            self.draining = True
-            return None
-        if rtype == "drained":
-            self.drained = True
-            return None
-        if rtype == "recovered":
-            return None
-        job = self.jobs.get(str(data.get("job_id")))
-        if job is None:
-            return (
-                f"references job {data.get('job_id')!r} whose submission "
-                f"record was lost"
-            )
-        account = self._account(job.request.tenant)
-        if rtype == "claimed":
-            job.transition(JobState.RUNNING, at, force=True)
-            job.worker = str(data["worker"])
-            job.attempts = int(data["attempts"])
-            job.started_at = data.get("started_at", at)
-            job.effective_max_tokens = data.get("effective_max_tokens")
-            job.budget_frozen = True
-            return None
-        if rtype == "expired":
-            job.transition(JobState.EXPIRED, at, force=True)
-            job.finished_at = at
-            job.error = data.get("error")
-            return None
-        if rtype == "finished":
-            job.error = data.get("error")
-            job.result = data.get("result")
-            job.transition(str(data["state"]), at, force=True)
-            job.finished_at = at
-            job.worker = None
-            account.tokens_spent += int(data.get("tokens", 0))
-            account.dollars_spent += float(data.get("dollars", 0.0))
-            if job.state == JobState.COMPLETED:
-                account.jobs_completed += 1
-            if data.get("poison"):
-                self._strike(job.request.spec_key())
-            return None
-        if rtype == "gave_up":
-            job.error = data.get("error")
-            job.transition(JobState.FAILED, at, force=True)
-            job.finished_at = at
-            job.worker = None
-            account.tokens_spent += int(data.get("tokens", 0))
-            account.dollars_spent += float(data.get("dollars", 0.0))
-            self._strike(job.request.spec_key())
-            return None
-        if rtype in ("requeued", "resumed"):
-            job.transition(JobState.QUEUED, at, force=True)
-            job.resume = True
-            job.worker = None
-            job.finished_at = None
-            job.heap_seq = int(data["heap_seq"])
-            account.tokens_spent += int(data.get("tokens", 0))
-            account.dollars_spent += float(data.get("dollars", 0.0))
-            self._bump_seq(job.heap_seq)
-            return None
-        if rtype == "checkpointed":
-            job.transition(JobState.CHECKPOINTED, at, force=True)
-            job.resume = True
-            job.worker = None
-            job.finished_at = at
-            account.tokens_spent += int(data.get("tokens", 0))
-            account.dollars_spent += float(data.get("dollars", 0.0))
-            return None
-        return f"unknown record type {rtype!r}"
 
     def _fix_up(self, report: dict, last_at: float) -> None:
         """Repair what process death interrupted (after replay)."""
@@ -842,42 +703,137 @@ class ServeCore:
         for job_id in sorted(self.jobs):
             job = self.jobs[job_id]
             if job.state == JobState.CHECKPOINTED:
-                with self._lock:
-                    now = self.clock.now()
-                    job.transition(JobState.QUEUED, now, force=True)
-                    job.resume = True
-                    job.finished_at = None
-                    seq = self._take_seq()
-                    job.heap_seq = seq
-                    heapq.heappush(
-                        self._heap,
-                        (-job.request.priority, seq, job.job_id),
-                    )
-                    self._account(job.request.tenant).queued += 1
-                    self._count(
-                        "serve.resumed_checkpointed",
-                        tenant=job.request.tenant,
-                    )
-                    self._journal(
-                        "resumed", {"job_id": job.job_id, "heap_seq": seq}
-                    )
+                self._commit(
+                    "resumed",
+                    self.clock.now(),
+                    {"job_id": job.job_id, "heap_seq": self._next_seq},
+                )
+                self._count(
+                    "serve.resumed_checkpointed", tenant=job.request.tenant
+                )
                 report["resumed_checkpointed"] += 1
 
-    # -- internals ----------------------------------------------------------------------
+    # -- the one transition applier ----------------------------------------------------
 
-    def _take_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
+    def _commit(self, rtype: str, at: float, data: dict) -> None:
+        """Apply one decided transition, then journal it (lock held).
 
-    def _bump_seq(self, seen: int) -> None:
-        if seen >= self._next_seq:
-            self._next_seq = seen + 1
-
-    def _journal(self, rtype: str, data: dict) -> None:
-        """Append one transition record (caller holds the lock)."""
+        Apply first: the store compacts inside ``append``, and the
+        snapshot it folds must already hold the record being appended.
+        """
+        self._apply(rtype, at, data, replay=False)
         if self.store is not None:
-            self.store.append(rtype, data, at=self.clock.now())
+            self.store.append(rtype, data, at=at)
+
+    def _apply(
+        self, rtype: str, at: float, data: dict, replay: bool
+    ) -> str | None:
+        """Apply one transition record — live through :meth:`_commit`,
+        and for every journal record :meth:`_rebuild` replays.
+
+        The only writer of job fields, tenant ledgers, strikes, rejection
+        counts, the drain flags, and limiter tokens.  *replay* only forces
+        the state move: a journaled record already happened, so replay
+        never refuses it.  The state move comes first, so a refused live
+        transition raises having written nothing.  A string return
+        reports a replayed record that no longer applies.
+        """
+        if rtype == "rejected":
+            code = str(data["code"])
+            self.rejections[code] = self.rejections.get(code, 0) + 1
+            tenant = data.get("tenant")
+            if tenant is not None:
+                account = self._account(tenant)
+                limiter = self.admission.limiter
+                if code == "rate_limited":
+                    # Redo the refill the refused check made (a no-op live).
+                    limiter.check(tenant, account.quota, at)
+                elif code in CONSUMING_REJECTION_CODES:
+                    limiter.consume(tenant, account.quota, at)
+            return None
+        if rtype == "submitted":
+            request = JobRequest.from_payload(data["payload"])
+            job = Job(
+                job_id=str(data["job_id"]),
+                request=request,
+                submitted_at=at,
+                deadline_at=data.get("deadline_at"),
+                checkpoint_dir=data.get("checkpoint_dir"),
+                events=[(JobState.QUEUED, at)],
+            )
+            self.jobs[job.job_id] = job
+            account = self._account(request.tenant)
+            account.jobs_submitted += 1
+            self.admission.limiter.consume(request.tenant, account.quota, at)
+            self._enqueue(job, account, int(data["heap_seq"]))
+            return None
+        if rtype == "drain":
+            self.draining = True
+            return None
+        if rtype == "drained":
+            self.drained = True
+            return None
+        if rtype == "recovered":
+            return None
+        job = self.jobs.get(str(data.get("job_id")))
+        if job is None:
+            return (
+                f"references job {data.get('job_id')!r} whose submission "
+                f"record was lost"
+            )
+        state = str(data["state"]) if rtype == "finished" else _MOVES.get(rtype)
+        if state is None:
+            return f"unknown record type {rtype!r}"
+        # A resume moves a CHECKPOINTED job, terminal only for the
+        # lifetime that checkpointed it.
+        job.transition(state, at, force=replay or rtype == "resumed")
+        account = self._account(job.request.tenant)
+        if rtype == "claimed":
+            job.worker = str(data["worker"])
+            job.attempts = int(data["attempts"])
+            job.started_at = data.get("started_at", at)
+            job.effective_max_tokens = data.get("effective_max_tokens")
+            job.budget_frozen = True
+            account.queued -= 1
+            account.running += 1
+            return None
+        if rtype == "expired":
+            job.finished_at = at
+            job.error = data.get("error")
+            account.queued -= 1
+            return None
+        # The rest end an attempt (``resumed``: a checkpointed lifetime),
+        # billing what it spent.
+        job.worker = None
+        if rtype != "resumed":
+            account.running -= 1
+        account.tokens_spent += int(data.get("tokens", 0))
+        account.dollars_spent += float(data.get("dollars", 0.0))
+        if job.state == JobState.QUEUED:
+            job.resume = True
+            job.finished_at = None
+            self._enqueue(job, account, int(data["heap_seq"]))
+            return None
+        job.finished_at = at
+        if rtype == "checkpointed":
+            job.resume = True
+            return None
+        job.error = data.get("error")
+        if rtype == "finished":
+            job.result = data.get("result")
+            if job.state == JobState.COMPLETED:
+                account.jobs_completed += 1
+        if rtype == "gave_up" or data.get("poison"):
+            self._strike(job.request.spec_key())
+        return None
+
+    def _enqueue(self, job: Job, account: TenantAccount, seq: int) -> None:
+        job.heap_seq = seq
+        self._next_seq = max(self._next_seq, seq + 1)
+        heapq.heappush(self._heap, (-job.request.priority, seq, job.job_id))
+        account.queued += 1
+
+    # -- internals ----------------------------------------------------------------------
 
     def _account(self, tenant: str) -> TenantAccount:
         account = self.accounts.get(tenant)
@@ -887,11 +843,6 @@ class ServeCore:
             )
             self.accounts[tenant] = account
         return account
-
-    def _count_rejection(self, code: str) -> None:
-        """Tally one explicit refusal (caller holds the lock)."""
-        self.rejections[code] = self.rejections.get(code, 0) + 1
-        self._count("serve.rejected", code=code)
 
     def _count(self, name: str, **attrs) -> None:
         telemetry = current_telemetry()

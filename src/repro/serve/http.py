@@ -34,7 +34,7 @@ import threading
 import time
 
 from .core import ServeCore
-from .runner import DrainRequested, JobRunner, WorkerKilled
+from .runner import DrainRequested, JobRunner
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: a spec pack, not a bulk upload
 _STATUS_TEXT = {
@@ -107,19 +107,10 @@ class ServeServer:
                     return  # queue is quiet and no new work is admitted
                 time.sleep(self.worker_poll_seconds)
                 continue
-            resume = job.resume
-            max_tokens = self.core.effective_max_tokens(job)
-            try:
-                outcome = runner.run(job, resume=resume, max_tokens=max_tokens)
-            except DrainRequested:
-                self.core.checkpoint_for_drain(job)
+            if runner.attempt(self.core, job) is None:
+                # Drained, or a simulated worker death (chaos/CI): the job
+                # is accounted for; stop like the real thing would.
                 return
-            except WorkerKilled:
-                # Simulated worker death (chaos/CI): account the job back
-                # to the queue, then die like the real thing would.
-                self.core.requeue_after_crash(job)
-                return
-            self.core.finish(job, outcome.to_core())
 
     def _spawn_workers(self) -> None:
         for index in range(self.core.config.workers):

@@ -22,6 +22,10 @@
 * **Poison detection** — a job that fails *before the pipeline produces a
   result* (bad distribution, unbuildable specs) is flagged ``poison``;
   the core's quarantine ledger counts these per spec_key.
+* **One router** — :meth:`JobRunner.attempt` is the one place an
+  attempt's ending becomes a core transition: an outcome is finished, a
+  :class:`DrainRequested` checkpoints the job, and a
+  :class:`WorkerKilled` requeues it for resume.
 
 Budget exhaustion and deadline expiry inside the pipeline are *graceful*
 outcomes (the pipeline returns an aborted-but-valid partial result); the
@@ -121,6 +125,26 @@ class JobRunner:
     def _point(self, name: str) -> None:
         if self.on_point is not None:
             self.on_point(name)
+
+    def attempt(self, core, job: Job) -> JobOutcome | None:
+        """Run one claimed attempt of *job* and record its ending on *core*.
+
+        An outcome finishes the job and is returned.  A drain checkpoints
+        the job and a worker death requeues it for resume; both return
+        None, and the worker should stop as the real thing would.
+        """
+        try:
+            outcome = self.run(
+                job, resume=job.resume, max_tokens=job.effective_max_tokens
+            )
+        except DrainRequested:
+            core.checkpoint_for_drain(job)
+            return None
+        except WorkerKilled:
+            core.requeue_after_crash(job)
+            return None
+        core.finish(job, outcome.to_core())
+        return outcome
 
     def run(
         self,

@@ -100,11 +100,11 @@ class TestClaim:
         core.accounts.clear()
         core.submit(payload(max_tokens=5000))
         job = core.claim("w")
-        assert core.effective_max_tokens(job) == 1000
+        assert job.effective_max_tokens == 1000
         # Later spend must not move the frozen ceiling.
         core.requeue_after_crash(job, {"tokens": 400})
         job = core.claim("w")
-        assert core.effective_max_tokens(job) == 1000
+        assert job.effective_max_tokens == 1000
 
 
 class TestLifecycle:
@@ -164,6 +164,43 @@ class TestLifecycle:
         core.finish(job, {"error": None, "result": {}})
         with pytest.raises(ValueError, match="terminal"):
             job.transition(JobState.RUNNING, 0.0)
+
+
+class TestRefusedTransitions:
+    @pytest.mark.parametrize("max_attempts", [1, 3])  # gave_up / requeued
+    def test_refused_call_changes_nothing(self, tmp_path, max_attempts):
+        config = ServeConfig(
+            checkpoint_root=str(tmp_path / "ckpts"),
+            state_dir=str(tmp_path / "state"),
+            journal_fsync="off",
+            max_attempts=max_attempts,
+        )
+        core = ServeCore(config, SimulatedClock(), ServeCore.open_store(config))
+        core.submit(payload())
+        job = core.claim("w")
+        core.finish(job, {"result": {}, "tokens": 10})
+
+        def observed():
+            journal = b"".join(
+                path.read_bytes()
+                for path in sorted((tmp_path / "state").glob("journal-*"))
+            )
+            return core.state_snapshot(), core.stats(), journal
+
+        before = observed()
+        for method, outcome in (
+            (core.finish, {"error": "late", "tokens": 7}),
+            (core.checkpoint_for_drain, {"tokens": 5}),
+            (core.requeue_after_crash, {"tokens": 3}),
+        ):
+            with pytest.raises(ValueError, match="terminal"):
+                method(job, outcome)
+            assert observed() == before, method.__name__
+        core.close()
+
+        recovered = ServeCore.recover(config, SimulatedClock())
+        assert recovered.accounts["acme"].tokens_spent == 10
+        recovered.close()
 
 
 class TestDrain:

@@ -40,64 +40,73 @@ def payload(**overrides):
     return body
 
 
+def take(limiter, tenant, q, now):
+    """One request against the bucket, as the core makes it: a
+    non-consuming check, then a consumed token when the check passed."""
+    wait = limiter.check(tenant, q, now)
+    if wait is None:
+        limiter.consume(tenant, q, now)
+    return wait
+
+
 class TestBucketMath:
     def test_unarmed_quota_never_limits(self):
         limiter = RateLimiter()
         for step in range(100):
-            assert limiter.check("t", TenantQuota(), float(step)) is None
+            assert take(limiter, "t", TenantQuota(), float(step)) is None
 
     def test_exact_retry_after_on_empty_bucket(self):
         limiter = RateLimiter()
         q = quota()  # 2 per 10s -> 0.2 tokens/s
-        assert limiter.check("t", q, 0.0) is None
-        assert limiter.check("t", q, 0.0) is None
+        assert take(limiter, "t", q, 0.0) is None
+        assert take(limiter, "t", q, 0.0) is None
         # Bucket empty: one full token is 1 / 0.2 = 5 seconds away.
-        assert limiter.check("t", q, 0.0) == 5.0
+        assert take(limiter, "t", q, 0.0) == 5.0
 
     def test_refill_is_linear_in_elapsed_time(self):
         limiter = RateLimiter()
         q = quota()
-        limiter.check("t", q, 0.0)
-        limiter.check("t", q, 0.0)
-        assert limiter.check("t", q, 2.5) == pytest.approx(2.5)
-        assert limiter.check("t", q, 5.0) is None  # one token back
-        assert limiter.check("t", q, 5.0) == 5.0
+        take(limiter, "t", q, 0.0)
+        take(limiter, "t", q, 0.0)
+        assert take(limiter, "t", q, 2.5) == pytest.approx(2.5)
+        assert take(limiter, "t", q, 5.0) is None  # one token back
+        assert take(limiter, "t", q, 5.0) == 5.0
 
     def test_burst_overrides_capacity(self):
         limiter = RateLimiter()
         q = quota(burst=5)
         for _ in range(5):
-            assert limiter.check("t", q, 0.0) is None
-        assert limiter.check("t", q, 0.0) == 5.0
+            assert take(limiter, "t", q, 0.0) is None
+        assert take(limiter, "t", q, 0.0) == 5.0
 
     def test_capacity_never_exceeds_burst(self):
         limiter = RateLimiter()
         q = quota()
-        limiter.check("t", q, 0.0)
+        take(limiter, "t", q, 0.0)
         # A long quiet period refills to capacity, not beyond.
         for _ in range(2):
-            assert limiter.check("t", q, 1000.0) is None
-        assert limiter.check("t", q, 1000.0) == 5.0
+            assert take(limiter, "t", q, 1000.0) is None
+        assert take(limiter, "t", q, 1000.0) == 5.0
 
     def test_tenants_have_independent_buckets(self):
         limiter = RateLimiter()
         q = quota()
-        limiter.check("a", q, 0.0)
-        limiter.check("a", q, 0.0)
-        assert limiter.check("a", q, 0.0) is not None
-        assert limiter.check("b", q, 0.0) is None
+        take(limiter, "a", q, 0.0)
+        take(limiter, "a", q, 0.0)
+        assert take(limiter, "a", q, 0.0) is not None
+        assert take(limiter, "b", q, 0.0) is None
 
     def test_state_roundtrip_and_shift(self):
         limiter = RateLimiter()
         q = quota()
-        limiter.check("t", q, 7.0)
+        take(limiter, "t", q, 7.0)
         twin = RateLimiter()
         twin.restore(limiter.state())
         twin.shift(-7.0)
         # Same elapsed time since the consumption -> same verdicts.
-        assert limiter.check("t", q, 7.0) is None
-        assert twin.check("t", q, 0.0) is None
-        assert limiter.check("t", q, 7.0) == twin.check("t", q, 0.0) == 5.0
+        assert take(limiter, "t", q, 7.0) is None
+        assert take(twin, "t", q, 0.0) is None
+        assert take(limiter, "t", q, 7.0) == take(twin, "t", q, 0.0) == 5.0
 
 
 class TestCoreIntegration:

@@ -1,5 +1,7 @@
 """Service recovery: a fresh process carries the dead one's exact state."""
 
+import random
+
 import pytest
 
 from repro.resilience.clock import SimulatedClock
@@ -170,7 +172,7 @@ class TestCheckpointedJobs:
             outcome = JobRunner(clock=recovered.clock).run(
                 job,
                 resume=True,
-                max_tokens=recovered.effective_max_tokens(job),
+                max_tokens=job.effective_max_tokens,
             )
             recovered.finish(job, outcome.to_core())
             assert job.state == JobState.COMPLETED
@@ -335,3 +337,75 @@ class TestIdempotence:
         state_two = canonical_json(second.state_snapshot())
         second.close()
         assert state_one == state_two
+
+
+class TestLiveEqualsRecovered:
+    """Recovery replays the live transitions, so it rebuilds the live state."""
+
+    @staticmethod
+    def drive(seed, root):
+        """A seeded operation sequence on a journaled core; returns the
+        config, the final clock time and the live state."""
+        rng = random.Random(seed)
+        clock = SimulatedClock()
+        config = make_config(
+            root,
+            max_queue_depth=6,
+            max_attempts=2,
+            poison_quarantine_after=2,
+            default_quota=TenantQuota(
+                max_concurrent_jobs=2,
+                max_queued_jobs=4,
+                requests_per_window=3,
+                window_seconds=10.0,
+            ),
+        )
+        core = ServeCore(config, clock, ServeCore.open_store(config))
+        running = []
+        for _ in range(rng.randint(8, 40)):
+            roll = rng.random()
+            if roll < 0.35:
+                overrides = {
+                    "tenant": rng.choice(("acme", "globex")),
+                    "seed": rng.randint(0, 3),
+                }
+                if rng.random() < 0.3:
+                    overrides["deadline_seconds"] = rng.uniform(0.5, 6.0)
+                core.submit(payload(**overrides))
+            elif roll < 0.55:
+                job = core.claim(f"w{len(running)}")
+                if job is not None:
+                    running.append(job)
+            elif roll < 0.8 and running:
+                job = running.pop(rng.randrange(len(running)))
+                spend = {
+                    "tokens": rng.randint(0, 50),
+                    "dollars": rng.randint(0, 9) / 100,
+                }
+                ending = rng.choice(("completed", "poison", "crash"))
+                if ending == "completed":
+                    core.finish(job, {"result": {"queries": 8}, **spend})
+                elif ending == "poison":
+                    core.finish(
+                        job, {"error": "poisoned spec", "poison": True, **spend}
+                    )
+                else:
+                    core.requeue_after_crash(job, spend)
+            else:
+                clock.advance(rng.uniform(0.0, 4.0))
+        for job in running:
+            core.finish(job, {"result": {"queries": 8}})
+        core.submit({"tenant": ""})  # one journaled record at the final time
+        live = core.state_snapshot()
+        core.close()
+        return config, clock.now(), live
+
+    def test_recovered_state_equals_live_state(self, tmp_path):
+        for seed in range(200):
+            config, now, live = self.drive(seed, tmp_path / f"seq-{seed}")
+            recovered = ServeCore.recover(config, SimulatedClock(now))
+            try:
+                assert recovered.state_snapshot() == live, seed
+                assert recovered.audit_lost_jobs() == []
+            finally:
+                recovered.close()
