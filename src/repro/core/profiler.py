@@ -274,49 +274,56 @@ class TemplateProfiler:
     def evaluate(self, template: SqlTemplate, values: Config) -> float | None:
         """Instantiate + measure one configuration; None on any SQL error.
 
+        The built-in metrics go through the template's compiled fast path
+        (:class:`~repro.fastpath.compiled.CompiledTemplate`), which parses,
+        binds and prepares the template once: ``plan_cost`` and
+        ``cardinality`` re-cost each binding with ``explain``, and
+        ``actual_rows`` and ``measured_time`` run each binding's prepared
+        plan with ``execute``.  Both equal the cold ``db.explain`` /
+        ``db.execute`` of the instantiated SQL, which a template that does
+        not compile takes instead.  ``measured_time`` is the execution
+        alone: a prepared plan is timed without its planning.
+
         Governor errors — :class:`ResourceExceeded` and the retryable
         :class:`TransientStorageError` — propagate instead of collapsing to
         None: they are verdicts about the *template's resource behaviour*
         (strike material), not about the SQL being malformed.
         """
-        if self._custom_metric is None and self.cost_metric in (
-            "plan_cost",
-            "cardinality",
-        ):
-            compiled = self._compiled_for(template)
-            if compiled is not None:
-                try:
-                    explain = compiled.explain(values)
-                except (ResourceExceeded, TransientStorageError):
-                    raise
-                except (KeyError, SqlError):
-                    return None
-                if self.cost_metric == "cardinality":
-                    return float(explain.estimated_rows)
-                return float(explain.total_cost)
-        try:
-            sql = template.instantiate(values)
-        except KeyError:
-            return None
-        try:
-            if self._custom_metric is not None:
+        if self._custom_metric is not None:
+            try:
+                sql = template.instantiate(values)
+            except KeyError:
+                return None
+            try:
                 return float(self._custom_metric(sql, self.db))
-            if self.cost_metric == "measured_time":
-                return self.db.execute(sql).elapsed_seconds
-            if self.cost_metric == "actual_rows":
-                # Deterministic execution-based cost: the result cardinality.
-                # Unlike measured_time it is a pure function of the query, so
-                # reproducibility tests and chaos campaigns can execute real
-                # plans (and trip real governor limits) with stable output.
-                return float(self.db.execute(sql).row_count)
-            explain = self.db.explain(sql)
+            except (ResourceExceeded, TransientStorageError):
+                raise
+            except SqlError:
+                return None
+        executes = self.cost_metric in ("actual_rows", "measured_time")
+        compiled = self._compiled_for(template)
+        try:
+            if compiled is not None:
+                run = compiled.execute if executes else compiled.explain
+                result = run(values)
+            else:
+                sql = template.instantiate(values)
+                result = self.db.execute(sql) if executes else self.db.explain(sql)
         except (ResourceExceeded, TransientStorageError):
             raise
-        except SqlError:
+        except (KeyError, SqlError):
             return None
+        if self.cost_metric == "actual_rows":
+            # Deterministic execution-based cost: the result cardinality.
+            # Unlike measured_time it is a pure function of the query, so
+            # reproducibility tests and chaos campaigns can execute real
+            # plans (and trip real governor limits) with stable output.
+            return float(result.row_count)
+        if self.cost_metric == "measured_time":
+            return result.elapsed_seconds
         if self.cost_metric == "cardinality":
-            return float(explain.estimated_rows)
-        return float(explain.total_cost)
+            return float(result.estimated_rows)
+        return float(result.total_cost)
 
     def _compiled_for(self, template: SqlTemplate):
         """The template's compiled fast path, or None when it cannot compile

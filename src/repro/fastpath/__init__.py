@@ -6,7 +6,7 @@ Three pieces, composable but independent:
   keyed by normalized SQL, invalidated by the catalog's statistics epoch;
 * :class:`CompiledTemplate` — parse, bind, and prepare a template's plan
   skeleton once, then run only the planner's costing pass per literal
-  binding;
+  binding, to EXPLAIN it or to execute its plan;
 * :class:`ParallelProfiler` — fan template profiling across a thread or
   process pool with deterministic per-template seeding.
 

@@ -1,4 +1,4 @@
-"""Compile a SQL template once, re-cost predicate bindings cheaply.
+"""Compile a SQL template once, re-cost and execute predicate bindings cheaply.
 
 The cost-targeted loops (template profiling, Algorithm 2 refinement, the BO
 predicate search) evaluate the *same* template text under thousands of
@@ -13,21 +13,27 @@ the type their rendered literal will have), and prepares a
 literal-independent phase.  Re-costing a binding then renders the SQL for
 the cache key and, on a miss, runs only the planner's costing pass over the
 binding's literals: no lexing, parsing, name resolution, or conjunct
-partitioning on the hot path.
+partitioning on the hot path.  Executing a binding (the execution-costed
+metrics) is the EXECUTE half of a prepared statement: the same costing pass
+builds the binding's plan, which carries the binding's literals for the
+executor, and ``Database.execute`` runs it.
 
-Correctness contract (enforced by ``tests/fastpath`` and the
-``compiled_template`` fuzz oracle): the :class:`ExplainResult` is
-byte-identical to ``database.explain(template.instantiate(values))``,
-``plan_text`` included.  Cold planning is the same skeleton costed with no
-placeholders, so this holds by construction wherever a placeholder costs
-exactly like the literal it stands for.  Two cases re-plan the
-instantiated SQL cold instead:
+Correctness contract (enforced by ``tests/fastpath``, the skeleton tests
+in ``tests/sqldb`` and the ``compiled_template`` fuzz oracle): the
+:class:`ExplainResult` is byte-identical to
+``database.explain(template.instantiate(values))``, ``plan_text``
+included, and an execution returns the table (or raises the error) of
+``database.execute(template.instantiate(values))``.  Cold planning is the
+same skeleton costed with no placeholders, so this holds by construction
+wherever a placeholder costs and evaluates exactly like the literal it
+stands for.  Two cases re-plan the instantiated SQL cold instead:
 
 * a per-call type guard compares each literal's bound type to the type the
   template was compiled under (e.g. an out-of-int32-range value binds as
   BIGINT);
 * templates with a placeholder in a GROUP BY or ORDER BY key, which EXPLAIN
-  prints.
+  prints (and where a literal can mean a sort position or a grouping key
+  the binder matches by value).
 
 Compilation failures surface as exceptions the caller treats as "use the
 cold path".  Statistics-epoch changes (DDL, data loads, re-analyze)
@@ -45,6 +51,7 @@ from typing import Mapping
 from repro.obs import current as current_telemetry
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.binder import Binder, _literal_type
+from repro.sqldb.database import ExecutionResult
 from repro.sqldb.errors import BindError
 from repro.sqldb.explain import ExplainResult, explain_plan
 from repro.sqldb.parser import parse_select
@@ -99,7 +106,8 @@ def bound_literal_type(expression: ast.Expression) -> SqlType:
 
 
 class CompiledTemplate:
-    """A template parsed, bound, and prepared once, costed per binding."""
+    """A template parsed, bound, and prepared once, costed or executed per
+    binding."""
 
     def __init__(self, database, template, placeholder_types: dict[str, SqlType]):
         """*placeholder_types* maps each placeholder to the *bound* type of
@@ -183,33 +191,11 @@ class CompiledTemplate:
             return [self.explain(values) for values in bindings]
         results: list[ExplainResult] = []
         for values in bindings:
-            literals: dict[str, ast.Expression] = {}
-            mismatch = False
-            deferred_bind_error: BindError | None = None
-            # Mirror the per-call error order: instantiate's per-name
-            # errors (missing placeholder, integer overflow) fire in place;
-            # BindError only ever comes from _recost's type guard, which
-            # runs after the whole statement rendered — defer it.
-            for name, expected, render_type in self._guard_specs:
-                if name not in values:
-                    raise KeyError(f"no value for placeholder {{{name}}}")
-                try:
-                    literal = literal_expression(values[name], render_type)
-                except BindError as exc:
-                    if deferred_bind_error is None:
-                        deferred_bind_error = exc
-                    continue
-                literals[name] = literal
-                if bound_literal_type(literal) is not expected:
-                    mismatch = True
-                    break
-            if mismatch:
-                # Rare re-plan-cold binding: take the full per-call path
-                # (including instantiation, whose errors take precedence).
+            literals = self._literals(values)
+            if literals is None:
+                # Rare re-plan-cold binding: take the full per-call path.
                 results.append(self.explain(values))
                 continue
-            if deferred_bind_error is not None:
-                raise deferred_bind_error
             results.append(
                 db._record_explain(
                     lambda l=literals: explain_plan(skeleton.plan(l))
@@ -219,16 +205,66 @@ class CompiledTemplate:
             telemetry.count("fastpath.compiled.replayed")
         return results
 
-    def _recost(self, sql: str, values: Mapping[str, object]) -> ExplainResult:
+    def execute(self, values: Mapping[str, object]) -> ExecutionResult:
+        """Execute the template instantiated with *values*: the EXECUTE half
+        of a prepared statement.
+
+        Same result, errors and ``sqldb.execute.*`` counters as
+        ``database.execute(template.instantiate(values))``, governed the same
+        way, minus the lex/parse/bind/plan work: the binding's plan comes
+        from the skeleton's costing pass and carries the binding's literals
+        for the executor.  A binding the type guard rejects, and every
+        binding of a template whose GROUP BY or ORDER BY holds a
+        placeholder, runs its instantiated SQL cold.
+        """
+        sql = self._template.instantiate(values)
+        try:
+            literals = self._literals(values)
+        except BindError:
+            literals = None  # the cold path raises it, positioned and counted
+        skeleton = self._skeleton() if literals is not None else None
+        if skeleton is None:
+            return self._db.execute(sql)
+        return self._db.execute(sql, plan=skeleton.plan(literals))
+
+    def _literals(
+        self, values: Mapping[str, object]
+    ) -> dict[str, ast.Expression] | None:
+        """The per-binding type guard: each placeholder's literal under
+        *values*, or None when the binding must re-plan its instantiated SQL
+        cold because a literal binds to a different type than the template
+        was compiled under (e.g. an out-of-int32-range value binds as
+        BIGINT).
+
+        Errors are those of instantiating the template and then binding its
+        SQL, whether or not the caller rendered the SQL first:
+        instantiate's (a missing placeholder, an integer overflow) fire in
+        place, and a non-finite DOUBLE's :class:`BindError` fires once every
+        placeholder has rendered — unless an earlier literal already sent
+        the binding cold.
+        """
         literals: dict[str, ast.Expression] = {}
+        cold = False
+        bind_error: BindError | None = None
         for name, expected, render_type in self._guard_specs:
-            literal = literal_expression(values[name], render_type)
-            if bound_literal_type(literal) is not expected:
-                # The value binds differently than the compiled assumption
-                # (e.g. out-of-int32-range); re-plan cold for this call.
-                return explain_plan(self._db.plan(sql))
+            if name not in values:
+                raise KeyError(f"no value for placeholder {{{name}}}")
+            try:
+                literal = literal_expression(values[name], render_type)
+            except BindError as exc:
+                if not cold and bind_error is None:
+                    bind_error = exc
+                continue
             literals[name] = literal
-        skeleton = self._skeleton()
+            if bound_literal_type(literal) is not expected:
+                cold = True
+        if bind_error is not None:
+            raise bind_error
+        return None if cold else literals
+
+    def _recost(self, sql: str, values: Mapping[str, object]) -> ExplainResult:
+        literals = self._literals(values)
+        skeleton = self._skeleton() if literals is not None else None
         if skeleton is None:
             return explain_plan(self._db.plan(sql))
         result = explain_plan(skeleton.plan(literals))

@@ -10,7 +10,9 @@ contract agree on a generated statement:
 * :class:`CompiledTemplateOracle` — templatizing the statement's WHERE
   literals and re-costing through :class:`CompiledTemplate` (the fastpath,
   with the EXPLAIN cache off) matches the cold parse → bind → plan
-  pipeline, on the original binding and on one where every value differs;
+  pipeline, and executing its prepared plan returns the cold execution's
+  table (or error), on the original binding and on one where every value
+  differs;
 * :class:`ParallelProfilerOracle` — profiling templatized statements
   through :class:`ParallelProfiler` is bit-identical to the serial loop
   (batched: checked once over the accumulated templates at end of run);
@@ -45,11 +47,12 @@ from repro.fastpath.compiled import (
 from repro.fastpath.parallel import ParallelProfiler
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.database import Database
-from repro.sqldb.errors import ConstraintError
+from repro.sqldb.errors import ConstraintError, SqlError
 from repro.sqldb.explain import ExplainResult, explain_plan
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.plan_nodes import PlanNode
 from repro.sqldb.sql_render import render_statement
+from repro.sqldb.storage import Table
 from repro.workload.placeholders import infer_placeholder_bindings
 from repro.workload.template import PlaceholderInfo, SqlTemplate
 
@@ -108,6 +111,54 @@ def _diff(label: str, a: ExplainResult, b: ExplainResult) -> str | None:
         f"cost {a.startup_cost}/{a.total_cost} vs {b.startup_cost}/{b.total_cost}"
         + ("" if a.plan_text == b.plan_text else ", plan text differs")
     )
+
+
+def table_diff(label: str, a: Table, b: Table) -> str | None:
+    """How result tables *a* and *b* first differ — column names, types,
+    values, null masks or row order — or None when they are the same."""
+    names = ([c.name for c in a.columns], [c.name for c in b.columns])
+    if names[0] != names[1]:
+        return f"{label}: columns {names[0]} vs {names[1]}"
+    for x, y in zip(a.columns, b.columns):
+        if (x.sql_type, x.data.dtype) != (y.sql_type, y.data.dtype):
+            return (
+                f"{label}: column {x.name} is {x.sql_type.value}/{x.data.dtype} "
+                f"vs {y.sql_type.value}/{y.data.dtype}"
+            )
+        if _mask(x) != _mask(y):
+            return f"{label}: column {x.name} null masks differ"
+        # repr keeps NaN equal to itself and floats exact.
+        if repr(x.data.tolist()) != repr(y.data.tolist()):
+            return (
+                f"{label}: column {x.name} values differ "
+                f"({len(x)} vs {len(y)} rows)"
+            )
+    return None
+
+
+def _mask(column) -> list | None:
+    return None if column.null_mask is None else column.null_mask.tolist()
+
+
+def _execution_diff(label: str, fast, cold) -> str | None:
+    """Run both executions; their tables must match, or both must raise the
+    same error class with the same message."""
+    outcomes = []
+    for run in (fast, cold):
+        try:
+            outcomes.append(run().table)
+        except SqlError as exc:
+            outcomes.append(exc)
+    a, b = outcomes
+    if isinstance(a, Table) and isinstance(b, Table):
+        return table_diff(label, a, b)
+    if (type(a), str(a)) == (type(b), str(b)):
+        return None
+    describe = [
+        "a table" if isinstance(o, Table) else f"{type(o).__name__}: {o}"
+        for o in outcomes
+    ]
+    return f"{label}: {describe[0]} vs {describe[1]}"
 
 
 class RoundTripOracle(Oracle):
@@ -220,7 +271,8 @@ def templatize(sql: str, db: Database) -> tuple[SqlTemplate | None, dict]:
 
 
 class CompiledTemplateOracle(Oracle):
-    """Compiled-template re-costing is byte-identical to the cold path."""
+    """Compiled-template re-costing is byte-identical to the cold path, and
+    prepared execution returns the cold execution's table."""
 
     name = "compiled_template"
 
@@ -249,6 +301,10 @@ class CompiledTemplateOracle(Oracle):
                 cold = explain_plan(db.plan(instantiated))
                 detail = _diff(
                     f"compiled vs cold on {instantiated!r}", fast, cold
+                ) or _execution_diff(
+                    f"prepared vs cold execution of {instantiated!r}",
+                    lambda: compiled.execute(binding),
+                    lambda: db.execute(instantiated),
                 )
                 if detail:
                     return detail

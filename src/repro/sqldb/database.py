@@ -178,12 +178,22 @@ class Database:
             )
         return result
 
-    def execute(self, sql: str) -> ExecutionResult:
-        """Run *sql* and return its result rows with wall-clock timing."""
+    def execute(self, sql: str, plan: Plan | None = None) -> ExecutionResult:
+        """Run *sql* and return its result rows with wall-clock timing.
+
+        *plan*, when given, is a plan of *sql* built beforehand — a prepared
+        template binding (:meth:`CompiledTemplate.execute
+        <repro.fastpath.compiled.CompiledTemplate.execute>`) or the plan
+        ``explain_analyze`` costed — and runs without parsing, binding or
+        planning *sql*; the timing then covers execution alone.  Either way
+        this is the one execution entry: the ``sqldb.execute.*`` counters,
+        the ambient governor and error positioning apply to every statement.
+        """
         telemetry = current_telemetry()
         started = time.perf_counter()
         try:
-            plan = self.plan(sql)
+            if plan is None:
+                plan = self.plan(sql)
             table = self._executor.execute(plan)
         except SqlError as exc:
             if telemetry.enabled:
@@ -231,15 +241,10 @@ class Database:
         plan = self.plan(sql)
         # Route estimates through the cache-aware entry point (reusing the
         # plan we already built on a miss) so explain_calls and cache
-        # hit/miss counters agree with plain ``explain``.
+        # hit/miss counters agree with plain ``explain``, and execution
+        # through ``execute`` so the execute counters see it.
         estimates = self.explain_estimates(sql, compute=lambda: explain_plan(plan))
-        started = time.perf_counter()
-        try:
-            table = self._executor.execute(plan)
-        except SqlError as exc:
-            raise exc.attach_source(sql)
-        elapsed = time.perf_counter() - started
-        return estimates, ExecutionResult(table=table, elapsed_seconds=elapsed)
+        return estimates, self.execute(sql, plan=plan)
 
     def validate(self, sql: str) -> tuple[bool, str | None]:
         """Check that *sql* parses, binds, and plans; return (ok, error)."""

@@ -10,6 +10,7 @@ the projection can all reference them by AST node identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +27,7 @@ import repro.obs.profile as _obs_profile
 
 from . import ast_nodes as ast
 from .errors import ConstraintError, ExecutionError
-from .expr_eval import EvalContext, SubqueryValue, Vec, evaluate, truthy
+from .expr_eval import EvalContext, Params, SubqueryValue, Vec, evaluate, truthy
 from .catalog import Catalog
 from .plan_nodes import (
     AggregateNode,
@@ -60,10 +61,10 @@ class _Frame:
     row_count: int
     aggregate_values: dict[int, Vec] = field(default_factory=dict)
 
-    def context(self, subquery_values: dict[int, SubqueryValue]) -> EvalContext:
+    def context(self, params: Params) -> EvalContext:
         vectors = {name: Vec.from_column(col) for name, col in self.columns.items()}
         return EvalContext(
-            vectors, self.row_count, self.aggregate_values, subquery_values
+            vectors, self.row_count, self.aggregate_values, params
         )
 
     def filter(self, keep: np.ndarray) -> "_Frame":
@@ -100,12 +101,15 @@ class Executor:
     def execute(self, plan: Plan) -> Table:
         """Run *plan* and return the result with its output column names.
 
+        Placeholders evaluate to the plan's :attr:`~Plan.literals`, in its
+        nested plans (subqueries, derived tables, UNION branches, INSERT
+        sources) too, which run as parts of the same statement.
+
         When operator profiling is armed (ambient telemetry with
         ``profile=True``, or a :func:`~repro.obs.profile.capture_profile`
-        block), the outermost execute() of a statement opens a
-        :class:`~repro.obs.profile.ProfileRun`; nested execute() calls
-        (subquery scans, UNION branches) join the in-flight run so their
-        operators land under the enclosing operator's subtree.
+        block), an execute() outside any statement opens a
+        :class:`~repro.obs.profile.ProfileRun`; nested plans run inside it,
+        so their operators land under the enclosing operator's subtree.
         """
         if _obs_profile.ACTIVE_RUN.get() is None:
             target = _obs_profile.capture_target()
@@ -113,19 +117,22 @@ class Executor:
                 run = _obs_profile.ProfileRun()
                 token = _obs_profile.ACTIVE_RUN.set(run)
                 try:
-                    result = self._execute(plan)
+                    result = self._execute(plan, plan.literals)
                 finally:
                     _obs_profile.ACTIVE_RUN.reset(token)
                 target.record(run.finalize())
                 return result
-        return self._execute(plan)
+        return self._execute(plan, plan.literals)
 
-    def _execute(self, plan: Plan) -> Table:
-        subquery_values = {
-            node_id: self._run_subplan(subplan.kind, subplan.plan)
-            for node_id, subplan in plan.subplans.items()
-        }
-        frame = self._run(plan.root, subquery_values)
+    def _execute(self, plan: Plan, literals: Mapping[str, ast.Expression]) -> Table:
+        params = Params(
+            {
+                node_id: self._run_subplan(subplan.kind, subplan.plan, literals)
+                for node_id, subplan in plan.subplans.items()
+            },
+            literals,
+        )
+        frame = self._run(plan.root, params)
         columns = list(frame.columns.values())
         # Projection already renamed columns; assert the schema lines up.
         if plan.output_names and len(columns) == len(plan.output_names):
@@ -135,8 +142,10 @@ class Executor:
             ]
         return Table("result", columns)
 
-    def _run_subplan(self, kind: str, plan: Plan) -> SubqueryValue:
-        result = self.execute(plan)
+    def _run_subplan(
+        self, kind: str, plan: Plan, literals: Mapping[str, ast.Expression]
+    ) -> SubqueryValue:
+        result = self._execute(plan, literals)
         if kind == "exists":
             return SubqueryValue(kind="exists", exists=result.row_count > 0)
         if not result.columns:
@@ -156,9 +165,7 @@ class Executor:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _run(
-        self, node: PlanNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
+    def _run(self, node: PlanNode, params: Params) -> _Frame:
         """One operator boundary — where the governor gets its say.
 
         The materializing executor's analogue of a volcano ``next()`` call:
@@ -170,64 +177,60 @@ class Executor:
         governor = _governor_context.current_governor()
         run = _obs_profile.ACTIVE_RUN.get()
         if governor is None and run is None:
-            return self._dispatch(node, subquery_values)
+            return self._dispatch(node, params)
         if run is None:
-            return self._run_governed(governor, node, subquery_values)
+            return self._run_governed(governor, node, params)
         profile, started = run.enter(node)
         rows = 0
         try:
             if governor is None:
-                frame = self._dispatch(node, subquery_values)
+                frame = self._dispatch(node, params)
             else:
-                frame = self._run_governed(governor, node, subquery_values)
+                frame = self._run_governed(governor, node, params)
             rows = frame.row_count
             return frame
         finally:
             run.exit(profile, started, rows)
 
-    def _run_governed(
-        self, governor, node: PlanNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
+    def _run_governed(self, governor, node: PlanNode, params: Params) -> _Frame:
         name = type(node).__name__
         governor.begin_operator(name)
-        frame = self._dispatch(node, subquery_values)
+        frame = self._dispatch(node, params)
         governor.charge_frame(name, frame.row_count, _frame_bytes(frame))
         return frame
 
-    def _dispatch(
-        self, node: PlanNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
+    def _dispatch(self, node: PlanNode, params: Params) -> _Frame:
         if isinstance(node, (SeqScanNode, IndexScanNode)):
-            return self._run_scan(node, subquery_values)
+            return self._run_scan(node, params)
         if isinstance(node, SubqueryScanNode):
-            return self._run_subquery_scan(node, subquery_values)
+            return self._run_subquery_scan(node, params)
         if isinstance(node, HashJoinNode):
-            return self._run_hash_join(node, subquery_values)
+            return self._run_hash_join(node, params)
         if isinstance(node, NestedLoopJoinNode):
-            return self._run_nested_loop(node, subquery_values)
+            return self._run_nested_loop(node, params)
         if isinstance(node, FilterNode):
-            frame = self._run(node.child, subquery_values)
-            return self._apply_filter(frame, node.condition, subquery_values)
+            frame = self._run(node.child, params)
+            return self._apply_filter(frame, node.condition, params)
         if isinstance(node, AggregateNode):
-            return self._run_aggregate(node, subquery_values)
+            return self._run_aggregate(node, params)
         if isinstance(node, SortNode):
-            return self._run_sort(node, subquery_values)
+            return self._run_sort(node, params)
         if isinstance(node, ProjectNode):
-            return self._run_project(node, subquery_values)
+            return self._run_project(node, params)
         if isinstance(node, DistinctNode):
-            return self._run_distinct(node, subquery_values)
+            return self._run_distinct(node, params)
         if isinstance(node, LimitNode):
-            return self._run_limit(node, subquery_values)
+            return self._run_limit(node, params)
         if isinstance(node, ResultNode):
-            return self._run_result(node, subquery_values)
+            return self._run_result(node, params)
         if isinstance(node, AppendNode):
-            return self._run_append(node)
+            return self._run_append(node, params)
         if isinstance(node, InsertNode):
-            return self._run_insert(node, subquery_values)
+            return self._run_insert(node, params)
         if isinstance(node, UpdateNode):
-            return self._run_update(node, subquery_values)
+            return self._run_update(node, params)
         if isinstance(node, DeleteNode):
-            return self._run_delete(node, subquery_values)
+            return self._run_delete(node, params)
         raise ExecutionError(f"cannot execute node {type(node).__name__}")
 
     # -- scans --------------------------------------------------------------------
@@ -235,46 +238,42 @@ class Executor:
     def _run_scan(
         self,
         node: SeqScanNode | IndexScanNode,
-        subquery_values: dict[int, SubqueryValue],
+        params: Params,
     ) -> _Frame:
         data = self._catalog.data(node.table_name)
         columns = {
             f"{node.binding}.{col.name}": col for col in data.columns
         }
         frame = _Frame(columns, data.row_count)
-        return self._apply_filter(frame, node.filter, subquery_values)
+        return self._apply_filter(frame, node.filter, params)
 
-    def _run_subquery_scan(
-        self, node: SubqueryScanNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        result = self.execute(node.subplan)
+    def _run_subquery_scan(self, node: SubqueryScanNode, params: Params) -> _Frame:
+        result = self._execute(node.subplan, params.literals)
         columns = {f"{node.alias}.{col.name}": col for col in result.columns}
         frame = _Frame(columns, result.row_count)
-        return self._apply_filter(frame, node.filter, subquery_values)
+        return self._apply_filter(frame, node.filter, params)
 
     def _apply_filter(
         self,
         frame: _Frame,
         condition: ast.Expression | None,
-        subquery_values: dict[int, SubqueryValue],
+        params: Params,
     ) -> _Frame:
         if condition is None:
             return frame
-        keep = truthy(evaluate(condition, frame.context(subquery_values)))
+        keep = truthy(evaluate(condition, frame.context(params)))
         return frame.filter(keep)
 
     # -- joins ---------------------------------------------------------------------
 
-    def _run_hash_join(
-        self, node: HashJoinNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        left = self._run(node.left, subquery_values)
-        right = self._run(node.right, subquery_values)
+    def _run_hash_join(self, node: HashJoinNode, params: Params) -> _Frame:
+        left = self._run(node.left, params)
+        right = self._run(node.right, params)
         left_codes, left_valid = _join_key_codes(
-            node.left_keys, left, right, subquery_values, prefer=left
+            node.left_keys, left, right, params, prefer=left
         )
         right_codes, right_valid = _join_key_codes(
-            node.right_keys, left, right, subquery_values, prefer=right
+            node.right_keys, left, right, params, prefer=right
         )
         # Build hash table on the right side.
         governor = _governor_context.current_governor()
@@ -301,17 +300,15 @@ class Executor:
         joined = _combine_frames(left.take(li), right.take(ri))
         if node.residual is not None:
             keep = truthy(
-                evaluate(node.residual, joined.context(subquery_values))
+                evaluate(node.residual, joined.context(params))
             )
             joined = joined.filter(keep)
             li, ri = li[keep], ri[keep]
         return _append_unmatched(joined, left, right, li, ri, node.join_type)
 
-    def _run_nested_loop(
-        self, node: NestedLoopJoinNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        left = self._run(node.left, subquery_values)
-        right = self._run(node.right, subquery_values)
+    def _run_nested_loop(self, node: NestedLoopJoinNode, params: Params) -> _Frame:
+        left = self._run(node.left, params)
+        right = self._run(node.right, params)
         governor = _governor_context.current_governor()
         if governor is not None:
             # Pre-admit the cross product before np.repeat materializes it —
@@ -328,7 +325,7 @@ class Executor:
         joined = _combine_frames(left.take(li), right.take(ri))
         if node.condition is not None:
             keep = truthy(
-                evaluate(node.condition, joined.context(subquery_values))
+                evaluate(node.condition, joined.context(params))
             )
             joined = joined.filter(keep)
             li, ri = li[keep], ri[keep]
@@ -336,11 +333,9 @@ class Executor:
 
     # -- aggregation -----------------------------------------------------------------
 
-    def _run_aggregate(
-        self, node: AggregateNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        child = self._run(node.child, subquery_values)
-        context = child.context(subquery_values)
+    def _run_aggregate(self, node: AggregateNode, params: Params) -> _Frame:
+        child = self._run(node.child, params)
+        context = child.context(params)
         if node.group_exprs:
             key_vecs = [evaluate(g, context) for g in node.group_exprs]
             codes, num_groups = _factorize_many(key_vecs, child.row_count)
@@ -358,20 +353,18 @@ class Executor:
         frame.aggregate_values = aggregates
         frame.row_count = num_groups
         if node.having is not None:
-            keep = truthy(evaluate(node.having, frame.context(subquery_values)))
+            keep = truthy(evaluate(node.having, frame.context(params)))
             frame = frame.filter(keep)
         return frame
 
     # -- sort / project / distinct / limit ----------------------------------------------
 
-    def _run_sort(
-        self, node: SortNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        frame = self._run(node.child, subquery_values)
+    def _run_sort(self, node: SortNode, params: Params) -> _Frame:
+        frame = self._run(node.child, params)
         if frame.row_count <= 1 or not node.order_items:
             return frame
         governor = _governor_context.current_governor()
-        context = frame.context(subquery_values)
+        context = frame.context(params)
         keys: list[np.ndarray] = []
         for order in node.order_items:
             vec = evaluate(order.expression, context)
@@ -384,21 +377,17 @@ class Executor:
         order_idx = np.lexsort(tuple(reversed(keys)))
         return frame.take(order_idx)
 
-    def _run_project(
-        self, node: ProjectNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        frame = self._run(node.child, subquery_values)
-        context = frame.context(subquery_values)
+    def _run_project(self, node: ProjectNode, params: Params) -> _Frame:
+        frame = self._run(node.child, params)
+        context = frame.context(params)
         columns: dict[str, Column] = {}
         for name, item in zip(node.output_names, node.items):
             vec = evaluate(item.expression, context)
             columns[name] = vec.to_column(name)
         return _Frame(columns, frame.row_count)
 
-    def _run_distinct(
-        self, node: DistinctNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        frame = self._run(node.child, subquery_values)
+    def _run_distinct(self, node: DistinctNode, params: Params) -> _Frame:
+        frame = self._run(node.child, params)
         if frame.row_count == 0:
             return frame
         vecs = [Vec.from_column(col) for col in frame.columns.values()]
@@ -407,18 +396,16 @@ class Executor:
         firsts.sort()  # keep first occurrences in their original order
         return frame.take(firsts)
 
-    def _run_limit(
-        self, node: LimitNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        frame = self._run(node.child, subquery_values)
+    def _run_limit(self, node: LimitNode, params: Params) -> _Frame:
+        frame = self._run(node.child, params)
         start = node.offset or 0
         stop = frame.row_count if node.limit is None else start + node.limit
         indices = np.arange(start, min(stop, frame.row_count), dtype=np.int64)
         return frame.take(indices)
 
-    def _run_append(self, node: AppendNode) -> _Frame:
+    def _run_append(self, node: AppendNode, params: Params) -> _Frame:
         """UNION [ALL]: run each branch and concatenate positionally."""
-        tables = [self.execute(plan) for plan in node.plans]
+        tables = [self._execute(plan, params.literals) for plan in node.plans]
         first = tables[0]
         columns: dict[str, Column] = {}
         for index, proto in enumerate(first.columns):
@@ -435,10 +422,8 @@ class Executor:
             frame = frame.take(firsts)
         return frame
 
-    def _run_result(
-        self, node: ResultNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
-        context = EvalContext({}, 1, {}, subquery_values)
+    def _run_result(self, node: ResultNode, params: Params) -> _Frame:
+        context = EvalContext({}, 1, {}, params)
         columns: dict[str, Column] = {}
         for name, item in zip(node.output_names, node.items):
             vec = evaluate(item.expression, context)
@@ -461,14 +446,12 @@ class Executor:
         )
         return _Frame({"rows_affected": column}, 1)
 
-    def _run_insert(
-        self, node: InsertNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
+    def _run_insert(self, node: InsertNode, params: Params) -> _Frame:
         meta = self._catalog.table(node.table_name)
         data = self._catalog.data(node.table_name)
         incoming: dict[str, list] = {}
         if node.source is not None:
-            result = self.execute(node.source)
+            result = self._execute(node.source, params.literals)
             count = result.row_count
             for target_name, col in zip(node.columns, result.columns):
                 target_type = meta.column(target_name).sql_type
@@ -481,7 +464,7 @@ class Executor:
         else:
             count = len(node.rows)
             incoming = {name: [] for name in node.columns}
-            context = EvalContext({}, 1, {}, subquery_values)
+            context = EvalContext({}, 1, {}, params)
             for row in node.rows:
                 for target_name, expression in zip(node.columns, row):
                     vec = evaluate(expression, context)
@@ -513,11 +496,9 @@ class Executor:
         self._catalog.note_mutation(meta.name, new_table, appended=count)
         return self._dml_frame(count)
 
-    def _run_update(
-        self, node: UpdateNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
+    def _run_update(self, node: UpdateNode, params: Params) -> _Frame:
         meta = self._catalog.table(node.table_name)
-        data, frame, keep = self._mutation_scan(node.child, subquery_values)
+        data, frame, keep = self._mutation_scan(node.child, params)
         positions = np.flatnonzero(keep)
         count = int(len(positions))
         governor = _governor_context.current_governor()
@@ -526,7 +507,7 @@ class Executor:
         # Assignments are evaluated over the *matched* rows only, so an
         # expression that would error on an unmatched row (1/y with y = 0,
         # say) cannot fail a statement whose WHERE excludes that row.
-        context = frame.filter(keep).context(subquery_values)
+        context = frame.filter(keep).context(params)
         new_table = data
         for assignment in node.assignments:
             vec = evaluate(assignment.value, context)
@@ -582,11 +563,9 @@ class Executor:
         )
         return self._dml_frame(count)
 
-    def _run_delete(
-        self, node: DeleteNode, subquery_values: dict[int, SubqueryValue]
-    ) -> _Frame:
+    def _run_delete(self, node: DeleteNode, params: Params) -> _Frame:
         meta = self._catalog.table(node.table_name)
-        data, frame, keep = self._mutation_scan(node.child, subquery_values)
+        data, frame, keep = self._mutation_scan(node.child, params)
         count = int(keep.sum())
         governor = _governor_context.current_governor()
         if governor is not None:
@@ -600,7 +579,7 @@ class Executor:
     def _mutation_scan(
         self,
         scan: PlanNode,
-        subquery_values: dict[int, SubqueryValue],
+        params: Params,
     ) -> tuple[Table, _Frame, np.ndarray]:
         """Run an UPDATE/DELETE child scan, keeping base-table row positions.
 
@@ -621,7 +600,7 @@ class Executor:
         columns = {f"{scan.binding}.{c.name}": c for c in data.columns}
         frame = _Frame(columns, data.row_count)
         if scan.filter is not None:
-            keep = truthy(evaluate(scan.filter, frame.context(subquery_values)))
+            keep = truthy(evaluate(scan.filter, frame.context(params)))
         else:
             keep = np.ones(data.row_count, dtype=bool)
         if governor is not None:
@@ -811,11 +790,11 @@ def _join_key_codes(
     keys: list[ast.Expression],
     left: _Frame,
     right: _Frame,
-    subquery_values: dict[int, SubqueryValue],
+    params: Params,
     prefer: _Frame,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate join keys on *prefer* and hash them to comparable tuples."""
-    context = prefer.context(subquery_values)
+    context = prefer.context(params)
     vecs = [evaluate(k, context) for k in keys]
     valid = np.ones(prefer.row_count, dtype=bool)
     for vec in vecs:

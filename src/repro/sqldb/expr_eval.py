@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -76,6 +77,16 @@ class SubqueryValue:
     scalar_type: SqlType = SqlType.DOUBLE
 
 
+@dataclass(frozen=True)
+class Params:
+    """One execution's parameters, read by every expression of a statement:
+    its pre-executed subquery results, keyed by expression identity, and the
+    literal each placeholder is bound to (a prepared template's binding)."""
+
+    subquery_values: dict[int, SubqueryValue]
+    literals: Mapping[str, ast.Expression]
+
+
 class EvalContext:
     """Everything an expression needs to evaluate over one batch."""
 
@@ -83,13 +94,14 @@ class EvalContext:
         self,
         columns: dict[str, Vec],
         row_count: int,
-        aggregate_values: dict[int, Vec] | None = None,
-        subquery_values: dict[int, SubqueryValue] | None = None,
+        aggregate_values: dict[int, Vec],
+        params: Params,
     ):
         self.columns = columns
         self.row_count = row_count
-        self.aggregate_values = aggregate_values or {}
-        self.subquery_values = subquery_values or {}
+        self.aggregate_values = aggregate_values
+        self.subquery_values = params.subquery_values
+        self.literals = params.literals
 
     def column(self, binding: str | None, name: str) -> Vec:
         key = f"{binding}.{name}" if binding else name
@@ -108,9 +120,13 @@ def evaluate(expression: ast.Expression, context: EvalContext) -> Vec:
     if isinstance(expression, ast.Literal):
         return Vec.constant(expression.value, context.row_count)
     if isinstance(expression, ast.Placeholder):
-        raise ExecutionError(
-            f"cannot execute a template containing placeholder {{{expression.name}}}"
-        )
+        literal = context.literals.get(expression.name)
+        if literal is None:
+            raise ExecutionError(
+                "cannot execute a template containing placeholder "
+                f"{{{expression.name}}}"
+            )
+        return evaluate(literal, context)
     if isinstance(expression, ast.ColumnRef):
         return context.column(expression.table, expression.column)
     if isinstance(expression, ast.FunctionCall):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import ast_nodes as ast
 from .cost import Cost
@@ -333,12 +333,19 @@ class SubPlan:
 
 @dataclass
 class Plan:
-    """A complete plan for one statement."""
+    """A complete plan for one statement.
+
+    *literals* is the binding a template's plan was costed for: each
+    placeholder's literal expression, which the executor substitutes when
+    it evaluates that placeholder (in nested plans too).  Empty for a plan
+    of literal SQL.
+    """
 
     root: PlanNode
     subplans: dict[int, SubPlan] = field(default_factory=dict)
     output_names: list[str] = field(default_factory=list)
     output_types: list[SqlType] = field(default_factory=list)
+    literals: Mapping[str, ast.Expression] = field(default_factory=dict)
 
     @property
     def est_rows(self) -> float:

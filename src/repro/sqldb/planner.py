@@ -17,10 +17,12 @@ numbers, placeholder-bearing ones compiled to closures over a binding
 context (:mod:`repro.sqldb.selectivity`), and nested skeletons for
 subqueries, derived tables, outer-join trees, and UNION branches.
 :meth:`PlanSkeleton.plan` is the costing pass for one binding: scan and
-index choice, greedy join order, and every node's cost.
-``Planner.plan(bound)`` is ``prepare(bound).plan({})``; a compiled template
+index choice, greedy join order, and every node's cost.  The plan it
+returns carries the binding's literals, so the executor runs it as the
+instantiated statement.  ``Planner.plan(bound)`` is
+``prepare(bound).plan({})``; a compiled template
 (:mod:`repro.fastpath.compiled`) prepares once per statistics epoch and
-costs each literal binding through the same skeleton.
+costs, or executes, each literal binding through the same skeleton.
 
 Every node carries estimated rows and a (startup, total) cost computed from
 :mod:`repro.sqldb.cost` — that pair is what ``EXPLAIN`` reports and what
@@ -177,8 +179,13 @@ class PlanSkeleton:
 
     def plan(self, literals: Mapping[str, ast.Expression] | None = None) -> Plan:
         """The plan for one binding: *literals* maps each placeholder to the
-        literal expression the binding substitutes for it."""
-        return self._build(binding_context(literals) if literals else {})
+        literal expression the binding substitutes for it.  The plan carries
+        *literals*, so it executes as the instantiated statement would."""
+        if not literals:
+            return self._build({})
+        plan = self._build(binding_context(literals))
+        plan.literals = dict(literals)
+        return plan
 
     @property
     def prints_placeholders(self) -> bool:

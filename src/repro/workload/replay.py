@@ -96,8 +96,7 @@ def replay_workload(
     started = time.perf_counter()
     for query in workload:
         try:
-            estimates = db.explain(query.sql)
-            execution = db.execute(query.sql)
+            estimates, execution = db.explain_analyze(query.sql)
         except SqlError as exc:
             report.outcomes.append(
                 QueryOutcome(query=query, ok=False, error=str(exc))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bo import CategoricalParameter, FloatParameter, IntegerParameter
-from repro.core import interval_distance
+from repro.core import TemplateProfiler, interval_distance
 from repro.workload import SqlTemplate
 
 RANGE_TEMPLATE = SqlTemplate(
@@ -106,6 +106,67 @@ class TestProfile:
 
         with pytest.raises(ValueError):
             TemplateProfiler(small_tpch, config, cost_metric="joules")
+
+
+class TestPreparedExecution:
+    """``actual_rows`` runs each binding's prepared plan: the template is
+    parsed, bound and planned once, never once per sample, and the costs
+    are those of executing the instantiated SQL."""
+
+    @pytest.fixture()
+    def plans(self, monkeypatch):
+        from repro.sqldb import Database
+
+        calls: list[str] = []
+        plan = Database.plan
+
+        def counting(db, sql):
+            calls.append(sql)
+            return plan(db, sql)
+
+        monkeypatch.setattr(Database, "plan", counting)
+        return calls
+
+    @pytest.fixture()
+    def rows_profiler(self, small_tpch, config):
+        return TemplateProfiler(small_tpch, config, cost_metric="actual_rows")
+
+    def assert_cold_costs(self, db, template, profile):
+        for values, cost in profile.observations:
+            assert cost == db.execute(template.instantiate(values)).row_count
+
+    def test_samples_execute_without_planning(
+        self, small_tpch, rows_profiler, plans
+    ):
+        profile = rows_profiler.profile(TWO_DIM_TEMPLATE, num_samples=20)
+        assert len(profile.observations) == 20
+        assert plans == []
+        assert profile.variety > 0.5
+        self.assert_cold_costs(small_tpch, TWO_DIM_TEMPLATE, profile)
+
+    def test_order_by_placeholder_plans_each_sample(
+        self, small_tpch, rows_profiler, plans
+    ):
+        template = SqlTemplate(
+            "t_order",
+            "SELECT o_orderkey FROM orders WHERE o_totalprice < {p_1} "
+            "ORDER BY o_totalprice * {p_2}",
+        )
+        profile = rows_profiler.profile(template, num_samples=20)
+        assert len(profile.observations) == 20
+        assert len(plans) == 20
+        self.assert_cold_costs(small_tpch, template, profile)
+
+    def test_out_of_int32_binding_plans_cold(
+        self, small_tpch, rows_profiler, plans
+    ):
+        template = SqlTemplate(
+            "t_wide", "SELECT o_orderkey FROM orders WHERE o_orderkey < {p_1}"
+        )
+        values = {"p_1": 2**40}  # binds as BIGINT: the type guard misses
+        cost = rows_profiler.evaluate(template, values)
+        assert len(plans) == 1
+        assert cost == small_tpch.execute(template.instantiate(values)).row_count
 
 
 class TestClosenessScore:

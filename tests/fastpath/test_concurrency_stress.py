@@ -6,7 +6,10 @@ explain/execute work while a DDL lands in the middle, and then verify the
 statistics-epoch contract directly: after a data change plus ANALYZE, a
 cached estimate must never be served stale.  A compiled template's plan
 skeleton is shared too (it memoizes residual filters on first use), so
-one test re-costs a single template from many threads at once.
+one test re-costs a single template from many threads at once, and
+another executes interleaved bindings of one template from many threads:
+each binding's literals ride on its own plan, never on the shared
+skeleton, executor, or bound statement.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 
 from repro.datasets import build_tpch
 from repro.fastpath import CompiledTemplate
+from repro.fuzz.oracles import table_diff
 from repro.sqldb.explain import explain_plan
 from repro.sqldb.storage import Column, Table
 from repro.sqldb.types import SqlType
@@ -199,3 +203,55 @@ def test_shared_template_skeleton_recosts_identically_across_threads(db):
         db.set_explain_cache(True)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def test_shared_template_executes_interleaved_bindings_across_threads(db):
+    template = SqlTemplate(
+        "stress_prepared",
+        "select c.c_name, o.o_totalprice - {v2} as over from customer c "
+        "join orders o on c.c_custkey = o.o_custkey "
+        "where o.o_totalprice > c.c_acctbal * {v1} and o.o_totalprice < {v2} "
+        "and c.c_nationkey in "
+        "(select n_nationkey from nation where n_regionkey <> {v1})",
+    )
+    compiled = CompiledTemplate(
+        db, template, {"v1": SqlType.INTEGER, "v2": SqlType.DOUBLE}
+    )
+    bindings = [{"v1": k, "v2": 1000.0 * (k + 4)} for k in range(-3, 5)]
+    expected = [db.execute(template.instantiate(b)).table for b in bindings]
+    assert len({t.row_count for t in expected}) > 1  # bindings differ
+    errors: list[BaseException] = []
+    start = threading.Barrier(NUM_THREADS)
+    cold_plans: list[str] = []
+    plan = db.plan
+    db.plan = lambda sql: cold_plans.append(sql) or plan(sql)
+
+    def worker(worker_id: int) -> None:
+        try:
+            start.wait()
+            for i in range(ITERATIONS):
+                # Each thread walks the bindings from its own offset, so
+                # different bindings run through the skeleton at once.
+                index = (worker_id + i) % len(bindings)
+                table = compiled.execute(bindings[index]).table
+                detail = table_diff(str(bindings[index]), table, expected[index])
+                assert detail is None, detail
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(NUM_THREADS)
+    ]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        del db.plan
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert cold_plans == []  # every binding ran from the skeleton

@@ -172,3 +172,32 @@ class TestExplainAnalyzeCacheCounters:
         assert metrics.total("sqldb.explain.cache.hits") == 0
         histogram = metrics.histogram("sqldb.explain.seconds")
         assert histogram.count == 2
+
+    def test_analyze_counts_its_execution(self):
+        from repro.obs import Telemetry, use_telemetry
+
+        db = build_tpch(scale=0.002, seed=3)
+        sql = "select count(*) from nation where n_regionkey = 1"
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            _, execution = db.explain_analyze(sql)
+        metrics = telemetry.metrics
+        assert execution.row_count == 1
+        assert metrics.total("sqldb.execute.calls") == 1
+        assert metrics.total("sqldb.execute.errors") == 0
+        assert metrics.histogram("sqldb.execute.seconds").count == 1
+
+    def test_analyze_counts_its_execution_error(self):
+        from repro.obs import Telemetry, use_telemetry
+        from repro.sqldb import ExecutionError
+
+        db = build_tpch(scale=0.002, seed=3)
+        sql = "select 1/0 from nation"
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            with pytest.raises(ExecutionError) as excinfo:
+                db.explain_analyze(sql)
+        metrics = telemetry.metrics
+        assert excinfo.value.source == sql
+        assert metrics.total("sqldb.execute.calls") == 1
+        assert metrics.total("sqldb.execute.errors") == 1

@@ -5,15 +5,21 @@
 statement with those literals written in — rows, costs, and plan text —
 for every shape the planner handles: index choice, residual join
 filters, outer joins, derived tables, subqueries, UNION, HAVING,
-select-list placeholders, and a bare boolean placeholder.
+select-list placeholders, and a bare boolean placeholder.  Executing that
+plan, which carries the binding's literals, must return exactly the
+instantiated statement's result table.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.datasets import build_tpch
+from repro.fuzz.oracles import table_diff
 from repro.sqldb.binder import Binder
+from repro.sqldb.errors import ExecutionError
 from repro.sqldb.explain import explain_plan
 from repro.sqldb.parser import parse_select
 from repro.sqldb.planner import Planner
@@ -127,20 +133,55 @@ def instantiate(template: str, binding: dict[str, str]) -> str:
     return template
 
 
-@pytest.mark.parametrize(
-    "template, types, bindings", CASES, ids=[f"case{i}" for i in range(len(CASES))]
-)
+def prepare(db, template: str, types):
+    bound = Binder(db.catalog, placeholder_types=types).bind(parse_select(template))
+    return Planner(db.catalog, placeholder_types=types).prepare(bound)
+
+
+CASE_IDS = [f"case{i}" for i in range(len(CASES))]
+
+
+@pytest.mark.parametrize("template, types, bindings", CASES, ids=CASE_IDS)
 def test_skeleton_plan_matches_the_instantiated_statement(
     db, template, types, bindings
 ):
-    bound = Binder(db.catalog, placeholder_types=types).bind(parse_select(template))
-    skeleton = Planner(db.catalog, placeholder_types=types).prepare(bound)
+    skeleton = prepare(db, template, types)
     assert not skeleton.prints_placeholders
     for binding in bindings:
         literals = {name: literal(text) for name, text in binding.items()}
         fast = explain_plan(skeleton.plan(literals))
         cold = explain_plan(db.plan(instantiate(template, binding)))
         assert fast == cold, (template, binding)
+
+
+@pytest.mark.parametrize("template, types, bindings", CASES, ids=CASE_IDS)
+def test_skeleton_plan_executes_as_the_instantiated_statement(
+    db, template, types, bindings
+):
+    skeleton = prepare(db, template, types)
+    for binding in bindings:
+        sql = instantiate(template, binding)
+        plan = skeleton.plan(
+            {name: literal(text) for name, text in binding.items()}
+        )
+        fast = db.execute(sql, plan=plan).table
+        cold = db.execute(sql).table
+        assert table_diff(sql, fast, cold) is None
+
+
+def test_plan_without_its_binding_refuses_to_execute(db):
+    template = (
+        "select c_name from customer where c_acctbal > {p} "
+        "and c_nationkey in (select n_nationkey from nation where n_regionkey < {q})"
+    )
+    bound = prepare(db, template, {"p": DOUBLE, "q": INT}).plan(
+        {"p": literal("1.5"), "q": literal("3")}
+    )
+    # The IN subquery runs first, so with no literals {q} is the one missed.
+    for literals, missing in (({}, "q"), ({"q": literal("3")}, "p")):
+        plan = dataclasses.replace(bound, literals=literals)
+        with pytest.raises(ExecutionError, match=f"placeholder {{{missing}}}"):
+            db.execute(template, plan=plan)
 
 
 @pytest.mark.parametrize(
