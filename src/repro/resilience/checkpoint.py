@@ -1,13 +1,17 @@
 """Checkpoint/resume for the SQLBarber pipeline.
 
-A checkpoint is one JSON file holding everything a fresh process needs to
-continue a run *bit-identically*: completed stage outputs (templates,
-profiles, refinement bookkeeping), the LLM client's RNG stream positions,
-and the usage meter.  Files are written atomically (temp file +
-``os.replace``) and carry a content hash plus a *run key* — a hash of the
-run's identity (specs, distribution, config, database, seed) — so a stale
-or foreign checkpoint is rejected with :class:`CheckpointError` instead of
-silently corrupting a resume.
+A checkpoint holds everything a fresh process needs to continue a run
+*bit-identically*: completed stage outputs (templates, profiles,
+refinement bookkeeping), the LLM client's RNG stream positions, and the
+usage meter.  It is an append-only log, ``checkpoint.jsonl``, of records
+in the service journal's checksummed format
+(:mod:`repro.resilience.records`).  Each save appends one record holding
+the format version, the *run key* — a hash of the run's identity (specs,
+distribution, config, database, seed) — and the exact delta from the
+previous save's state; loading checks every record and folds the deltas
+back into the last saved state.  A stale, foreign or damaged log is
+rejected with :class:`CheckpointError` instead of silently corrupting a
+resume; only a torn final record (a write cut short) is dropped.
 
 Serialization is lossy on purpose where lossless would be wasteful:
 template placeholders and profile search spaces are derived data (pure
@@ -17,54 +21,29 @@ storing them.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import copy
+import math
 import os
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+# canonical_json is re-exported: core/barber.py imports it from here.
+from .records import (
+    canonical_json,
+    content_hash,
+    encode_record,
+    read_records,
+    to_jsonable,
+)
 
 
 class CheckpointError(Exception):
-    """A checkpoint file is missing, corrupt, or belongs to another run."""
+    """A checkpoint is missing, corrupt, or belongs to another run."""
 
 
-CHECKPOINT_FORMAT_VERSION = 1
-
-
-# -- canonical JSON ---------------------------------------------------------------
-
-
-def to_jsonable(obj):
-    """Recursively convert *obj* to plain JSON types (numpy included)."""
-    # numpy scalars first: np.float64 *is* a float subclass, and letting it
-    # through unconverted would leak numpy types into the JSON encoder.
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in items]
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a checkpoint")
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
-
-
-def content_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+#: Format 1 was one JSON file rewritten whole on every save; format 2 is
+#: the delta log.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 # -- state <-> object helpers -----------------------------------------------------
@@ -270,15 +249,138 @@ def run_key(specs, distribution, config, db_name: str) -> str:
     return content_hash(identity)
 
 
+# -- state deltas -----------------------------------------------------------------
+#
+# A delta is a tagged JSON array:
+#   [0, value]                   replace with *value*
+#   [1, {key: delta}, [keys]]    patch a dict: change these keys, drop those
+#   [2, keep, [items]]           keep a list's first *keep* items, then *items*
+# Values compare strictly: 1, 1.0 and True differ, and so do 0.0 and -0.0.
+
+_REPLACE, _DICT, _LIST = 0, 1, 2
+_RECORD_TYPE = "checkpoint"
+#: Types whose ``==`` between two values of the same type is exact.
+_EXACT_EQ = frozenset({str, int, bool, type(None)})
+
+
+def _diff(old, new):
+    """``(value, delta)``: *new* converted as by :func:`to_jsonable`, and
+    the delta that turns *old* (plain JSON data) into it — None when the
+    two are exactly equal, in which case *value* is *old* itself."""
+    kind = type(new)
+    if kind is dict:
+        if type(old) is not dict:
+            value = to_jsonable(new)
+            return value, [_REPLACE, value]
+        out = {}
+        changed = {}
+        kept = 0
+        for key, item in new.items():
+            if type(key) is not str:
+                key = str(key)
+            if key in old:
+                kept += 1
+                value, delta = _diff(old[key], item)
+                if delta is not None:
+                    changed[key] = delta
+            else:
+                value = to_jsonable(item)
+                changed[key] = [_REPLACE, value]
+            out[key] = value
+        if len(out) != len(new):  # two keys with one string form
+            return _diff(old, to_jsonable(new))
+        if not changed and kept == len(old):
+            return old, None
+        removed = [key for key in old if key not in out]
+        return out, [_DICT, changed, removed]
+    if kind is list or kind is tuple:
+        if type(old) is not list:
+            value = to_jsonable(new)
+            return value, [_REPLACE, value]
+        out = []
+        size = len(old)
+        items = iter(new)
+        for item in items:
+            index = len(out)
+            if index < size:
+                value, delta = _diff(old[index], item)
+                if delta is None:
+                    out.append(value)
+                    continue
+            else:
+                value = to_jsonable(item)
+            tail = [value]
+            tail.extend(to_jsonable(rest) for rest in items)
+            out.extend(tail)
+            return out, [_LIST, index, tail]
+        if len(out) == size:
+            return old, None
+        return out, [_LIST, len(out), []]
+    if kind in _EXACT_EQ:
+        same = type(old) is kind and old == new
+    elif kind is float:
+        same = type(old) is float and (
+            (old == new and math.copysign(1.0, old) == math.copysign(1.0, new))
+            or (old != old and new != new)  # NaN
+        )
+    # Subclasses (np.float64, enums) compare as the value JSON writes.
+    elif isinstance(new, str):
+        return _diff(old, str.__str__(new))
+    elif isinstance(new, float):
+        return _diff(old, float.__float__(new))
+    elif isinstance(new, int):
+        return _diff(old, int.__int__(new))
+    else:  # numpy ints and bools, arrays, sets, container subclasses
+        return _diff(old, to_jsonable(new))
+    return (old, None) if same else (new, [_REPLACE, new])
+
+
+def _fold(old, delta):
+    """Apply one delta to *old*, building new containers (never mutating
+    *old*).  Dicts a delta adds keys to come back key-sorted, like every
+    dict the record decoder returns."""
+    tag = delta[0]
+    if tag == _REPLACE:
+        return delta[1]
+    if tag == _DICT:
+        _, changed, removed = delta
+        if type(old) is not dict or not isinstance(changed, dict):
+            raise ValueError("dict delta on a non-dict")
+        out = dict(old)
+        for key in removed:
+            del out[key]
+        for key, sub in changed.items():
+            out[key] = _fold(out.get(key), sub)
+        if any(key not in old for key in changed):
+            out = {key: out[key] for key in sorted(out)}
+        return out
+    if tag == _LIST:
+        _, keep, items = delta
+        if type(old) is not list or not 0 <= keep <= len(old):
+            raise ValueError("list delta past the list's end")
+        return old[:keep] + items
+    raise ValueError(f"unknown delta tag {tag!r}")
+
+
 # -- the manager ------------------------------------------------------------------
 
 
 class CheckpointManager:
-    """Atomic, hash-verified saves of run state to one JSON file.
+    """Run state as an append-only, checksummed log of deltas.
 
-    ``on_save(manager, payload)`` fires *after* each durable write — the
-    chaos harness uses it to simulate a process dying right after its k-th
-    checkpoint hit disk.
+    :meth:`save` diffs the state against the previous save's (one walk),
+    encodes only the delta, and appends it with one write on a descriptor
+    kept open for the run.  The first save of a manager that did not
+    :meth:`load` starts the log over.  Saves are not fsync'd: a process
+    death loses nothing (the bytes are in the page cache), and a torn
+    tail left by an OS crash is dropped on load, so the run resumes from
+    the previous save.
+
+    ``on_save(manager, payload)`` fires *after* each write — the chaos
+    harness uses it to simulate a process dying right after its k-th
+    checkpoint hit disk.  ``payload`` is the record's data plus
+    ``"state"``, the state just saved (read-only: later deltas are taken
+    against it).
 
     With *lock_owner* set, construction acquires a
     :class:`~repro.resilience.lock.DirectoryLock` on the directory
@@ -299,6 +401,13 @@ class CheckpointManager:
         self.run_key = run_key
         self.on_save = on_save
         self.saves = 0
+        # The last saved or loaded state, the log's record count and byte
+        # length, and whether its last record is owed a newline.
+        self._state = None
+        self._records = 0
+        self._end = 0
+        self._newline_owed = False
+        self._file = None
         self.lock = None
         if lock_owner is not None:
             from repro.resilience.lock import DirectoryLock
@@ -308,20 +417,20 @@ class CheckpointManager:
 
     @property
     def path(self) -> Path:
-        return self.directory / "checkpoint.json"
+        return self.directory / "checkpoint.jsonl"
 
     def save(self, state: dict) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        body = to_jsonable(state)
-        payload = {
+        body, delta = _diff(self._state, state)
+        if delta is None:
+            delta = [_DICT, {}, []]
+        data = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "run_key": self.run_key,
-            "content_hash": content_hash(body),
-            "state": body,
+            "delta": delta,
         }
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, self.path)
+        self._append(encode_record(self._records, _RECORD_TYPE, 0.0, data))
+        self._state = body
+        self._records += 1
         self.saves += 1
         if self.lock is not None and self.lock.held:
             self.lock.heartbeat()
@@ -331,46 +440,113 @@ class CheckpointManager:
         if telemetry.enabled:
             telemetry.count("checkpoint.saves", stage=str(state.get("stage")))
         if self.on_save is not None:
-            self.on_save(self, payload)
+            self.on_save(self, dict(data, state=body))
         return self.path
 
+    def _append(self, line: bytes) -> None:
+        if self._file is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._file = open(self.path, "ab", buffering=0)
+            # Cut whatever follows the last good record: a torn tail, or
+            # the whole old log when this manager starts it over.
+            self._file.truncate(self._end)
+        if self._newline_owed:
+            line = b"\n" + line
+        view = memoryview(line)
+        try:
+            while view:
+                view = view[self._file.write(view):]
+        except OSError:
+            # The next append reopens the log and cuts the partial record.
+            self._file.close()
+            self._file = None
+            raise
+        self._end += len(line)
+        self._newline_owed = False
+
     def close(self) -> None:
-        """Release the directory lock (no-op when lockless or already lost)."""
+        """Close the log and release the directory lock (both no-ops when
+        already done or never opened)."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
         if self.lock is not None:
             self.lock.release()
 
     def load(self) -> dict | None:
-        """The saved state, None when no checkpoint exists yet.
+        """The last saved state, None when no checkpoint exists yet.
 
-        Raises :class:`CheckpointError` on version/run-key/hash mismatch or
-        an unparsable file (a torn write cannot happen thanks to the atomic
-        replace, but a truncated disk or foreign file can).
+        Raises :class:`CheckpointError` on a corrupt record, a wrong
+        format version, a foreign run key, or a leftover format-1
+        ``checkpoint.json`` with no log: a resume never quietly starts
+        over.  A torn final record is dropped, and cut before the next
+        append.
         """
+        self._state, self._records, self._end = None, 0, 0
+        self._newline_owed = False
         if not self.path.exists():
+            legacy = self.directory / "checkpoint.json"
+            if legacy.exists():
+                raise CheckpointError(
+                    f"checkpoint {legacy} has format version 1, "
+                    f"which cannot be resumed; expected {self.path.name} "
+                    f"(format {CHECKPOINT_FORMAT_VERSION})"
+                )
             return None
         try:
-            payload = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
+            raw = self.path.read_bytes()
+        except OSError as error:
             raise CheckpointError(
                 f"unreadable checkpoint {self.path}: {error}"
             ) from error
-        if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        scan = read_records(raw)
+        if scan.corrupt:
             raise CheckpointError(
-                f"checkpoint {self.path} has format version "
-                f"{payload.get('format_version')!r}; expected "
-                f"{CHECKPOINT_FORMAT_VERSION}"
+                f"checkpoint {self.path} has a corrupt record at line "
+                f"{scan.corrupt[0]}"
             )
-        if payload.get("run_key") != self.run_key:
-            raise CheckpointError(
-                f"checkpoint {self.path} belongs to a different run "
-                f"(specs/distribution/config/db/seed changed)"
-            )
-        state = payload.get("state")
-        if content_hash(state) != payload.get("content_hash"):
-            raise CheckpointError(f"checkpoint {self.path} failed hash check")
+        state = None
+        for index, record in enumerate(scan.records):
+            data = record["d"]
+            if not isinstance(data, dict) or record["t"] != _RECORD_TYPE:
+                raise CheckpointError(
+                    f"checkpoint {self.path}: record {index} is not a "
+                    f"checkpoint record"
+                )
+            if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint {self.path} has format version "
+                    f"{data.get('format_version')!r}; expected "
+                    f"{CHECKPOINT_FORMAT_VERSION}"
+                )
+            if data.get("run_key") != self.run_key:
+                raise CheckpointError(
+                    f"checkpoint {self.path} belongs to a different run "
+                    f"(specs/distribution/config/db/seed changed)"
+                )
+            if record["n"] != index:
+                raise CheckpointError(
+                    f"checkpoint {self.path}: record {index} is out of "
+                    f"sequence (numbered {record['n']!r})"
+                )
+            try:
+                state = _fold(state, data["delta"])
+            except (IndexError, KeyError, TypeError, ValueError) as error:
+                raise CheckpointError(
+                    f"checkpoint {self.path}: record {index} does not "
+                    f"apply: {error}"
+                ) from error
+        if state is None:
+            return None  # the only record was torn: no save completed
+        if not isinstance(state, dict):
+            raise CheckpointError(f"checkpoint {self.path} holds no state")
+        self._state = state
+        self._records = len(scan.records)
+        self._end = scan.end
+        self._newline_owed = raw[scan.end - 1 : scan.end] != b"\n"
         from repro.obs import current as current_telemetry
 
         telemetry = current_telemetry()
         if telemetry.enabled:
             telemetry.count("checkpoint.loads", stage=str(state.get("stage")))
-        return state
+        return copy.deepcopy(state)

@@ -71,8 +71,8 @@ from typing import ClassVar
 import numpy as np
 
 from repro.resilience.chaos import CampaignReport, run_campaign
-from repro.resilience.checkpoint import canonical_json
 from repro.resilience.clock import SimulatedClock
+from repro.resilience.records import canonical_json
 
 from .admission import TenantQuota
 from .core import ServeConfig, ServeCore

@@ -17,8 +17,10 @@ Layout of one state directory::
 **Records.** Each journal line is one JSON object
 ``{"n", "t", "at", "d", "c"}`` — per-segment index, record type, core
 clock time, payload, and a checksum over the canonical JSON of the other
-fields.  The checksum turns bit rot and torn writes into *detected*
-damage: recovery quarantines the record instead of replaying garbage.
+fields.  The codec and the reader live in :mod:`repro.resilience.records`,
+shared with the run checkpoint log.  The checksum turns bit rot and torn
+writes into *detected* damage: recovery quarantines the record instead
+of replaying garbage.
 
 **Segments.** Appends go to the newest segment via a single
 ``os.write`` on an ``O_APPEND`` descriptor.  After ``segment_max_records``
@@ -64,10 +66,8 @@ from pathlib import Path
 
 import numpy as np
 
-import hashlib
-
-from repro.resilience.checkpoint import content_hash, to_jsonable
 from repro.resilience.lock import DirectoryLock, LockHeld
+from repro.resilience.records import content_hash, encode_record, read_records
 
 STORE_FORMAT_VERSION = 1
 FSYNC_POLICIES = ("always", "rotate", "off")
@@ -75,49 +75,6 @@ FSYNC_POLICIES = ("always", "rotate", "off")
 _SEGMENT_RE = re.compile(r"^journal-(\d{6})\.jsonl$")
 _SNAPSHOT_RE = re.compile(r"^snapshot-([0-9a-f]{16})\.json$")
 _SEAL_TYPE = "_seal"
-
-
-def _record_body(n: int, rtype: str, at: float, data: dict) -> str:
-    """Canonical JSON of the checksummed fields, serialized exactly once.
-
-    Plain ``json.dumps`` (with a ``to_jsonable`` fallback for stray numpy
-    scalars) instead of the checkpoint layer's eager deep conversion —
-    this runs on every journaled transition, inside the core lock, so its
-    cost is submission latency.
-    """
-    return json.dumps(
-        {"n": n, "t": rtype, "at": at, "d": data},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=to_jsonable,
-    )
-
-
-def encode_record(n: int, rtype: str, at: float, data: dict) -> bytes:
-    """One journal line: canonical body + spliced checksum + newline."""
-    body = _record_body(n, rtype, at, data)
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    return (body[:-1] + ',"c":"' + checksum + '"}\n').encode("utf-8")
-
-
-def decode_record(line: bytes) -> dict | None:
-    """Parse and verify one journal line; None when damaged."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    try:
-        body = _record_body(
-            record["n"], record["t"], record["at"], record["d"]
-        )
-    except (KeyError, TypeError):
-        return None
-    expected = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    if record.get("c") != expected:
-        return None
-    return record
 
 
 class JobStore:
@@ -381,46 +338,31 @@ class JobStore:
         *,
         last_segment: bool,
     ) -> None:
-        raw = path.read_bytes()
-        lines = raw.split(b"\n")
-        torn = lines.pop() if lines and lines[-1] != b"" else None
-        if lines and lines[-1] == b"":
-            lines.pop()
+        scan = read_records(path.read_bytes())
+        for position in scan.corrupt:
+            quarantined.append(
+                {
+                    "kind": "corrupt_record",
+                    "where": f"{path.name}:{position}",
+                    "detail": "checksum or parse failure",
+                }
+            )
         sealed_count: int | None = None
         seen = 0
-        for position, line in enumerate(lines):
-            if not line:
-                continue
-            record = decode_record(line)
-            if record is None:
-                quarantined.append(
-                    {
-                        "kind": "corrupt_record",
-                        "where": f"{path.name}:{position}",
-                        "detail": "checksum or parse failure",
-                    }
-                )
-                continue
+        for record in scan.records:
             if record["t"] == _SEAL_TYPE:
                 sealed_count = int(record["d"].get("records", -1))
                 continue
             seen += 1
             records.append(record)
-        if torn is not None:
-            record = decode_record(torn)
-            if record is not None and record["t"] != _SEAL_TYPE:
-                # A complete record that merely lost its newline — the
-                # data survived, keep it.
-                seen += 1
-                records.append(record)
-            else:
-                quarantined.append(
-                    {
-                        "kind": "torn_tail",
-                        "where": f"{path.name}:{len(lines)}",
-                        "detail": f"partial final line ({len(torn)} bytes)",
-                    }
-                )
+        if scan.torn:
+            quarantined.append(
+                {
+                    "kind": "torn_tail",
+                    "where": f"{path.name}:{scan.torn_at}",
+                    "detail": f"partial final line ({len(scan.torn)} bytes)",
+                }
+            )
         if not last_segment:
             if sealed_count is None:
                 quarantined.append(

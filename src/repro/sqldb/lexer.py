@@ -88,8 +88,9 @@ def tokenize(sql: str) -> list[Token]:
             i = end + 1
             continue
         if ch == "'":
-            value, i = _read_string(sql, i)
+            value, end = _read_string(sql, i)
             tokens.append(Token(TokenType.STRING, value, i))
+            i = end
             continue
         if ch == '"':
             end = sql.find('"', i + 1)
@@ -99,8 +100,9 @@ def tokenize(sql: str) -> list[Token]:
             i = end + 1
             continue
         if ch.isdigit() or (ch == "." and i + 1 < length and sql[i + 1].isdigit()):
-            value, i = _read_number(sql, i)
+            value, end = _read_number(sql, i)
             tokens.append(Token(TokenType.NUMBER, value, i))
+            i = end
             continue
         if ch.isalpha() or ch == "_":
             start = i

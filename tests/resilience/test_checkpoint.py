@@ -24,6 +24,7 @@ from repro.resilience.checkpoint import (
     usage_from_state,
     usage_to_state,
 )
+from repro.resilience.records import decode_record, encode_record
 from repro.workload import SqlTemplate
 
 
@@ -143,9 +144,17 @@ class TestManager:
         assert CheckpointManager(tmp_path, run_key="k1").load() is None
 
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
+        # Each save is one appended line on the one log file: no temp file
+        # is ever written, and earlier lines are never rewritten.
         manager = CheckpointManager(tmp_path, run_key="k1")
         manager.save({"stage": "templates"})
-        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+        first = manager.path.read_bytes()
+        manager.save({"stage": "profile"})
+        manager.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.jsonl"]
+        log = manager.path.read_bytes()
+        assert log.startswith(first)
+        assert log.count(b"\n") == 2 and log.endswith(b"\n")
 
     def test_foreign_run_key_rejected(self, tmp_path):
         CheckpointManager(tmp_path, run_key="k1").save({"stage": "x"})
@@ -155,38 +164,135 @@ class TestManager:
     def test_corrupted_content_rejected(self, tmp_path):
         manager = CheckpointManager(tmp_path, run_key="k1")
         manager.save({"stage": "templates", "value": 1})
-        payload = json.loads(manager.path.read_text())
-        payload["state"]["value"] = 2  # tampered, hash now stale
-        manager.path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="hash"):
+        manager.close()
+        log = manager.path.read_bytes()
+        tampered = log.replace(b'"value":1', b'"value":2')  # checksum now stale
+        assert tampered != log
+        manager.path.write_bytes(tampered)
+        with pytest.raises(CheckpointError, match="corrupt record at line 0"):
             manager.load()
 
     def test_unparsable_file_rejected(self, tmp_path):
         manager = CheckpointManager(tmp_path, run_key="k1")
-        manager.directory.mkdir(exist_ok=True)
-        manager.path.write_text("{ not json")
-        with pytest.raises(CheckpointError, match="unreadable"):
+        manager.path.write_text("{ not json\n")
+        with pytest.raises(CheckpointError, match="corrupt record"):
             manager.load()
 
     def test_wrong_format_version_rejected(self, tmp_path):
         manager = CheckpointManager(tmp_path, run_key="k1")
         manager.save({"stage": "x"})
-        payload = json.loads(manager.path.read_text())
-        payload["format_version"] = 999
-        manager.path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="format version"):
+        manager.close()
+        # A well-formed record (valid checksum) from another format.
+        record = decode_record(manager.path.read_bytes().rstrip(b"\n"))
+        record["d"]["format_version"] = 999
+        manager.path.write_bytes(
+            encode_record(record["n"], record["t"], record["at"], record["d"])
+        )
+        with pytest.raises(CheckpointError, match="format version 999"):
             manager.load()
 
     def test_on_save_fires_after_durable_write(self, tmp_path):
         seen = []
 
         def hook(manager, payload):
-            # The file must already be fully written when the hook runs.
-            on_disk = json.loads(manager.path.read_text())
-            seen.append(on_disk["state"]["stage"])
-            assert on_disk == payload
+            # The record must already be fully written when the hook runs:
+            # it is the log's last line, and the log folds to the state.
+            last = manager.path.read_bytes().splitlines()[-1]
+            record = decode_record(last)
+            assert record["n"] == manager.saves - 1
+            assert dict(record["d"], state=payload["state"]) == payload
+            loaded = CheckpointManager(tmp_path, run_key="k1").load()
+            assert loaded == payload["state"]
+            seen.append(loaded["stage"])
 
         manager = CheckpointManager(tmp_path, run_key="k1", on_save=hook)
         manager.save({"stage": "templates"})
         manager.save({"stage": "profile"})
         assert seen == ["templates", "profile"]
+
+
+class TestLogDamage:
+    """The damage path: a torn tail is dropped, anything else refuses."""
+
+    STATES = [
+        {"stage": "templates", "templates": ["a"]},
+        {"stage": "profile", "templates": ["a", "b"]},
+        {"stage": "profiled", "templates": ["a", "b", "c"]},
+    ]
+
+    def _log(self, tmp_path):
+        manager = CheckpointManager(tmp_path, run_key="k1")
+        for state in self.STATES:
+            manager.save(state)
+        manager.close()
+        return manager.path
+
+    def test_torn_final_record_loads_the_previous_state(self, tmp_path):
+        path = self._log(tmp_path)
+        path.write_bytes(path.read_bytes()[:-12])
+        assert CheckpointManager(tmp_path, run_key="k1").load() == self.STATES[1]
+
+    def test_resuming_twice_after_a_tear_cuts_the_torn_bytes(self, tmp_path):
+        path = self._log(tmp_path)
+        path.write_bytes(path.read_bytes()[:-12])
+        first = CheckpointManager(tmp_path, run_key="k1")
+        assert first.load() == self.STATES[1]
+        redone = dict(self.STATES[2], redone=True)
+        first.save(redone)
+        first.close()
+        # Had the torn bytes stayed, the appended record would sit behind
+        # a corrupt line and the second resume would refuse the log.
+        second = CheckpointManager(tmp_path, run_key="k1")
+        assert second.load() == redone
+        second.save(self.STATES[0])
+        second.close()
+        assert CheckpointManager(tmp_path, run_key="k1").load() == self.STATES[0]
+        assert len(path.read_bytes().splitlines()) == 4
+
+    def test_record_that_only_lost_its_newline_is_kept(self, tmp_path):
+        path = self._log(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        manager = CheckpointManager(tmp_path, run_key="k1")
+        assert manager.load() == self.STATES[2]
+        manager.save(self.STATES[0])
+        manager.close()
+        assert CheckpointManager(tmp_path, run_key="k1").load() == self.STATES[0]
+
+    def test_torn_only_record_loads_none_and_the_next_save_restarts(
+        self, tmp_path
+    ):
+        manager = CheckpointManager(tmp_path, run_key="k1")
+        manager.save(self.STATES[0])
+        manager.close()
+        manager.path.write_bytes(manager.path.read_bytes()[:-12])
+        fresh = CheckpointManager(tmp_path, run_key="k1")
+        assert fresh.load() is None
+        fresh.save(self.STATES[1])
+        fresh.close()
+        assert CheckpointManager(tmp_path, run_key="k1").load() == self.STATES[1]
+
+    def test_bit_flip_in_a_middle_record_is_refused(self, tmp_path):
+        path = self._log(tmp_path)
+        raw = bytearray(path.read_bytes())
+        middle = raw.index(b"\n") + 10  # inside the second of three records
+        raw[middle] ^= 0x04
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="corrupt record at line 1"):
+            CheckpointManager(tmp_path, run_key="k1").load()
+
+    def test_leftover_format_1_checkpoint_is_refused(self, tmp_path):
+        (tmp_path / "checkpoint.json").write_text(
+            json.dumps({"format_version": 1, "run_key": "k1", "state": {}})
+        )
+        with pytest.raises(CheckpointError, match="format version 1"):
+            CheckpointManager(tmp_path, run_key="k1").load()
+
+    def test_fresh_save_starts_the_log_over(self, tmp_path):
+        self._log(tmp_path)
+        manager = CheckpointManager(tmp_path, run_key="k2")
+        manager.save({"stage": "other"})
+        manager.close()
+        assert len(manager.path.read_bytes().splitlines()) == 1
+        assert CheckpointManager(tmp_path, run_key="k2").load() == {
+            "stage": "other"
+        }

@@ -199,7 +199,7 @@ class TestBarberIntegration:
         barber.generate_workload(
             tiny_specs, tiny_distribution, checkpoint_dir=str(ckpt)
         )
-        assert (ckpt / "checkpoint.json").exists()
+        assert (ckpt / "checkpoint.jsonl").exists()
         assert not (ckpt / DirectoryLock.LOCK_NAME).exists()
 
     def test_concurrent_run_rejected(

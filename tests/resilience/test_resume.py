@@ -52,8 +52,8 @@ class TestCheckpointingIsInvisible:
             checkpoint_dir=tmp_path,
         )
         assert checkpointed.fingerprint_json() == plain.fingerprint_json()
-        assert checkpointed.checkpoint_path == str(tmp_path / "checkpoint.json")
-        assert (tmp_path / "checkpoint.json").exists()
+        assert checkpointed.checkpoint_path == str(tmp_path / "checkpoint.jsonl")
+        assert (tmp_path / "checkpoint.jsonl").exists()
 
     def test_resume_from_finished_checkpoint_matches(
         self, tmp_path, chaos_db, tiny_specs, tiny_distribution

@@ -6,8 +6,8 @@ import os
 import pytest
 
 from repro.resilience.lock import LockHeld
+from repro.resilience.records import decode_record, encode_record
 from repro.serve import JobStore, StoreFaultModel
-from repro.serve.store import decode_record, encode_record
 
 
 def open_store(path, **kwargs):

@@ -123,3 +123,20 @@ class TestErrors:
         with pytest.raises(SqlSyntaxError) as excinfo:
             tokenize("ab @")
         assert excinfo.value.position == 3
+
+
+class TestPositions:
+    def test_every_token_starts_where_its_text_starts(self):
+        sql = "select 'abc', 12 from t where x = {v} and y >= 3.5e2"
+        positions = [(t.value, t.position) for t in tokenize(sql)[:-1]]
+        assert positions == [
+            ("select", 0), ("abc", 7), (",", 12), ("12", 14), ("from", 17),
+            ("t", 22), ("where", 24), ("x", 30), ("=", 32), ("v", 34),
+            ("and", 38), ("y", 42), (">=", 44), ("3.5e2", 47),
+        ]
+
+    def test_literal_with_escaped_quote_keeps_its_start(self):
+        tokens = tokenize("x = 'it''s' + .5")
+        assert [(t.value, t.position) for t in tokens[2:5]] == [
+            ("it's", 4), ("+", 12), (".5", 14),
+        ]

@@ -305,3 +305,19 @@ class TestErrorPositions:
         with pytest.raises(SqlSyntaxError) as excinfo:
             parse_select(sql)
         assert excinfo.value.position == sql.index("extra")
+
+    def test_string_literal_error_points_at_its_start(self):
+        sql = "select 'abc' 'x' from t"
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            parse_select(sql)
+        err = excinfo.value
+        assert err.position == sql.index("'x'") == 13
+        assert 'at or near "x" (position 13)' in str(err)
+        line, caret = err.context_snippet().split("\n")
+        assert caret.index("^") == len("LINE 1: ") + 13
+
+    def test_number_literal_error_points_at_its_start(self):
+        sql = "select a from t limit 5 7"
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            parse_select(sql)
+        assert excinfo.value.position == sql.index("7")
