@@ -268,10 +268,11 @@ class SQLBarber:
 
         With *checkpoint_dir* set, the run saves its state after every
         stage (and every ``config.checkpoint_every_templates`` templates
-        inside profiling, every iteration inside refinement) to a
-        content-hashed JSON file.  ``resume=True`` picks the run up from
-        that file, bit-identically: a killed-and-resumed run fingerprints
-        the same as an uninterrupted one.  *on_checkpoint_save* is a hook
+        inside profiling, every iteration inside refinement) by appending
+        one checksummed delta record to ``checkpoint.jsonl``, a log keyed
+        by the run's identity.  ``resume=True`` picks the run up from that
+        log, bit-identically: a killed-and-resumed run fingerprints the
+        same as an uninterrupted one.  *on_checkpoint_save* is a hook
         called after each durable save (the chaos harness's kill switch).
         """
         manager = None

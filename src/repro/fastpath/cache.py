@@ -6,7 +6,8 @@ known-good configurations, warm starts, duplicate proposals).  Estimates are
 a pure function of (SQL text, catalog statistics), so they cache perfectly:
 
 * entries are keyed by :func:`normalize_sql` of the statement, so textual
-  noise (whitespace, a trailing semicolon) cannot split the cache;
+  noise (whitespace, a trailing semicolon) cannot split the cache, and two
+  statements that tokenize differently never share an entry;
 * the whole cache is keyed to the catalog's *statistics epoch* — any DDL,
   data load, or re-analyze bumps the epoch and the next lookup drops every
   entry, so stale costs are impossible by construction;
@@ -24,6 +25,7 @@ shared entries are safe across threads.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 
@@ -32,35 +34,34 @@ from repro.obs import current as current_telemetry
 DEFAULT_CACHE_SIZE = 8192
 
 
-def normalize_sql(sql: str) -> str:
-    """Canonical cache key: collapse whitespace outside string literals.
+#: The spans the cache key copies verbatim, in the lexer's own terms: a
+#: string literal, a quoted identifier, a placeholder, a line comment
+#: through its newline, and a block comment.  An unterminated one runs to
+#: the end of the text.
+_VERBATIM_SPAN = re.compile(
+    r"""('[^']*'?|"[^"]*"?|\{[^}]*\}?|--[^\n]*\n?|/\*(?:.*?\*/|.*))""",
+    re.DOTALL,
+)
+_WHITESPACE = re.compile(r"\s+")
 
-    Keeps string literals byte-exact (they are case- and space-sensitive),
-    collapses every run of whitespace elsewhere to a single space, and drops
-    a trailing semicolon.  Cheap (one pass) and collision-safe: two queries
-    with the same normalized form tokenize identically.
+
+def normalize_sql(sql: str) -> str:
+    """Canonical cache key: collapse whitespace where the lexer ignores it.
+
+    The key rule: two texts share a key only if they tokenize to the same
+    tokens, apart from one trailing semicolon (which the parser accepts and
+    ignores), or both fail to tokenize.  So the key copies byte-exact every
+    span the lexer reads as one unit: string literals, quoted identifiers,
+    placeholders, line comments through their newline, and block comments.
+    Inside those a space is content or ends the span, and a quote opens
+    nothing.  Elsewhere the key collapses each whitespace run to one space
+    and drops leading and trailing whitespace, and it drops one trailing
+    semicolon.  Collision-safe by that rule.
     """
-    out: list[str] = []
-    in_string = False
-    pending_space = False
-    for ch in sql:
-        if in_string:
-            out.append(ch)
-            if ch == "'":
-                in_string = False
-            continue
-        if ch.isspace():
-            pending_space = True
-            continue
-        if pending_space:
-            if out:
-                out.append(" ")
-            pending_space = False
-        out.append(ch)
-        if ch == "'":
-            in_string = True
-    text = "".join(out)
-    while text.endswith(";"):
+    pieces = _VERBATIM_SPAN.split(sql)  # code, span, code, span, ..., code
+    pieces[::2] = [_WHITESPACE.sub(" ", code) for code in pieces[::2]]
+    text = "".join(pieces).strip()
+    if text.endswith(";"):
         text = text[:-1].rstrip()
     return text
 

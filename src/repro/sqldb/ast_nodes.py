@@ -8,8 +8,17 @@ which the structural analyzer in :mod:`repro.workload.analyzer` relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, TypeVar, Union
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Dataclass field names of a node class, computed once per class:
+    ``fields()`` builds a new tuple on every call, and ``children()`` runs
+    once for every node of every walk."""
+    return tuple(f.name for f in fields(cls))
 
 
 class Node:
@@ -22,9 +31,9 @@ class Node:
             yield from child.walk()
 
     def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes, discovered from dataclass fields."""
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
+        """Yield direct child nodes, in dataclass field order."""
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):
@@ -314,6 +323,48 @@ DML_STATEMENTS = (InsertStatement, UpdateStatement, DeleteStatement)
 def is_dml(node: Node) -> bool:
     """True when *node* is an INSERT/UPDATE/DELETE statement."""
     return isinstance(node, DML_STATEMENTS)
+
+
+_NodeT = TypeVar("_NodeT", bound=Node)
+
+#: The common leaf types, which :func:`copy_tree` shares without calling
+#: ``_copy_value`` (that shares every value but a Node, list or tuple).
+_IMMUTABLE_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def copy_tree(node: _NodeT) -> _NodeT:
+    """Return a deep copy of *node*: every Node, list and tuple is new.
+
+    Immutable leaves (strings, numbers, booleans, None) are shared.  Each
+    node is copied through its ``__dict__``, so ``compare=False`` fields
+    such as ``position`` are kept.  Nodes are copied from an explicit stack
+    rather than by recursion, so a tree of any depth copies.
+    """
+    pending: list[dict] = []
+    root = _copy_value(node, pending)
+    while pending:
+        attrs = pending.pop()
+        for name, value in attrs.items():
+            if value.__class__ not in _IMMUTABLE_LEAVES:
+                attrs[name] = _copy_value(value, pending)
+    return root
+
+
+def _copy_value(value, pending: list[dict]):
+    """Copy one attribute value for :func:`copy_tree`.  A node is copied
+    shallowly and its attributes queued on *pending*; a list or tuple is
+    copied item by item, a recursion as deep as the node types nest
+    sequences (``InsertStatement.rows``), not as deep as the tree."""
+    if isinstance(value, Node):
+        copy = object.__new__(value.__class__)
+        copy.__dict__ = attrs = value.__dict__.copy()
+        pending.append(attrs)
+        return copy
+    if isinstance(value, list):
+        return [_copy_value(item, pending) for item in value]
+    if isinstance(value, tuple):
+        return tuple([_copy_value(item, pending) for item in value])
+    return value
 
 
 def find_placeholders(node: Node) -> list[str]:

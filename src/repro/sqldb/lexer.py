@@ -167,13 +167,12 @@ def _read_number(sql: str, start: int) -> tuple[str, int]:
             seen_dot = True
             i += 1
         elif ch in "eE" and not seen_exp and i > start:
-            # Only treat as exponent when followed by digits or a sign.
-            nxt = sql[i + 1] if i + 1 < length else ""
-            if nxt.isdigit() or nxt in "+-":
+            # An exponent only when a digit follows "e" or "e+"/"e-";
+            # otherwise the number ends before the "e".
+            digit = i + 2 if sql.startswith(("+", "-"), i + 1) else i + 1
+            if digit < length and sql[digit].isdigit():
                 seen_exp = True
-                i += 1
-                if sql[i] in "+-":
-                    i += 1
+                i = digit
             else:
                 break
         else:

@@ -9,6 +9,8 @@ divergence in any field fails.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,11 @@ from repro.core import BarberConfig, TemplateProfiler, schema_payload
 from repro.datasets import build_tpch, redset_spec_workload
 from repro.fastpath import normalize_sql
 from repro.fastpath.compiled import literal_expression
+from repro.fuzz.runner import build_fuzz_database
 from repro.sqldb.ast_nodes import Literal, UnaryOp
+from repro.sqldb.errors import SqlSyntaxError
 from repro.sqldb.explain import explain_plan
+from repro.sqldb.lexer import TokenType, tokenize
 from repro.sqldb.types import SqlType
 from repro.workload import SqlTemplate
 
@@ -222,6 +227,68 @@ class TestNormalizeSql:
         # normalizer must not treat the text after it as code.
         sql = "select * from t where name = 'it''s  a' and x = 1"
         assert normalize_sql(sql) == sql
+
+    def test_line_comment_keeps_its_newline(self):
+        assert normalize_sql("select a -- c\n  from t") == "select a -- c\n from t"
+        assert normalize_sql("select a -- c\nfrom t") != normalize_sql(
+            "select a -- c from t"
+        )
+
+    def test_quoted_identifiers_are_copied_verbatim(self):
+        sql = 'select "a  b" from "t\tx"'
+        assert normalize_sql(sql) == sql
+        assert normalize_sql('select "a b"') != normalize_sql('select "a  b"')
+
+    def test_only_one_trailing_semicolon_is_dropped(self):
+        # "select 1;;" is a syntax error; it must not share "select 1"'s key.
+        assert normalize_sql("select 1 ;; ") == "select 1 ;"
+
+    def test_comment_boundary_case_gets_its_own_explain(self):
+        db = build_fuzz_database(0)
+        commented = db.explain("select user_id from users -- c\nwhere user_id < 3")
+        whole_comment = db.explain("select user_id from users -- c where user_id < 3")
+        assert whole_comment == cold_explain(
+            db, "select user_id from users -- c where user_id < 3"
+        )
+        assert whole_comment.estimated_rows == 120
+        assert commented.estimated_rows < 120
+
+    FRAGMENTS = (
+        "select", "a", "b", "from", "t", "where", "=", "1", "1e", "-", "--",
+        "/*", "*/", "/", "*", "'", "''", '"', "{", "}", "p_1", "(", ")", ";",
+        "x y", "e",
+    )
+    SPACES = (" ", "  ", "\n", "\t", " \n ", "\n\n", "")
+
+    def test_equal_keys_tokenize_equally(self):
+        """Seeded property: texts with one key tokenize to one (type, value)
+        stream, up to one trailing semicolon, or all fail to tokenize."""
+        rng = random.Random(18)
+
+        def tokens(sql):
+            try:
+                stream = [(t.type, t.value) for t in tokenize(sql)[:-1]]
+            except SqlSyntaxError:
+                return "error"
+            if stream and stream[-1] == (TokenType.PUNCTUATION, ";"):
+                stream.pop()
+            return stream
+
+        collisions = 0
+        by_key: dict[str, object] = {}
+        for _ in range(1500):
+            fragments = rng.choices(self.FRAGMENTS, k=rng.randint(1, 10))
+            for _ in range(6):  # the same fragments, different whitespace
+                sql = "".join(
+                    rng.choice(self.SPACES) + fragment for fragment in fragments
+                ) + rng.choice(self.SPACES)
+                key = normalize_sql(sql)
+                if key in by_key:
+                    collisions += 1
+                    assert tokens(sql) == by_key[key], (sql, key)
+                else:
+                    by_key[key] = tokens(sql)
+        assert collisions > 1000
 
 
 class TestLiteralExpression:

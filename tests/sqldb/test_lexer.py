@@ -1,7 +1,10 @@
 """Tokenizer behaviour, including placeholders, comments, and errors."""
 
+import random
+
 import pytest
 
+from repro.fuzz.runner import build_fuzz_database
 from repro.sqldb.errors import SqlSyntaxError
 from repro.sqldb.lexer import TokenType, tokenize
 
@@ -60,6 +63,15 @@ class TestNumbers:
         tokens = tokenize("1efoo")
         assert tokens[0].value == "1"
         assert tokens[1].value == "efoo"
+
+    def test_e_at_end_of_input_is_not_exponent(self):
+        assert values("select 1e") == ["select", "1", "e"]
+        assert kinds("1E") == [TokenType.NUMBER, TokenType.IDENTIFIER]
+
+    def test_e_sign_without_digit_is_not_exponent(self):
+        assert values("1e+x") == ["1", "e", "+", "x"]
+        assert values("select 1.5e-") == ["select", "1.5", "e", "-"]
+        assert values("select 1e+ from t") == ["select", "1", "e", "+", "from", "t"]
 
 
 class TestStrings:
@@ -140,3 +152,28 @@ class TestPositions:
         assert [(t.value, t.position) for t in tokens[2:5]] == [
             ("it's", 4), ("+", 12), (".5", 14),
         ]
+
+
+class TestValidateContract:
+    """``Database.validate`` returns ``(ok, error)`` and never raises, so no
+    malformed input may escape the lexer as anything but a SqlError."""
+
+    WORDS = (
+        "select", "from", "where", "and", "or", "not", "in", "between",
+        "like", "is", "null", "group", "by", "order", "limit", "join", "on",
+        "as", "case", "when", "then", "else", "end", "count", "(", ")", ",",
+        "*", "=", "<", "+", "-", "/", "'x'", "users", "orders", "user_id",
+        "amount", "u", "1", "2.5", "1e", "1e+", "1.5e-", "3e-2", ".5",
+    )
+
+    def test_random_statements_return_a_pair(self):
+        db = build_fuzz_database(0)
+        rng = random.Random(7)
+        for _ in range(2000):
+            words = rng.choices(self.WORDS, k=rng.randint(1, 12))
+            if rng.random() < 0.7:
+                words.insert(0, "select")
+            sql = " ".join(words)
+            ok, error = db.validate(sql)
+            assert isinstance(ok, bool), sql
+            assert (error is None) == ok and (ok or isinstance(error, str)), sql
