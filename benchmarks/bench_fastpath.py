@@ -1,4 +1,4 @@
-"""Fastpath benchmark: EXPLAIN cache and parallel profiling speedups.
+"""Fastpath benchmark: EXPLAIN cache and batched re-costing speedups.
 
 Standalone (not a pytest-benchmark figure — run it directly):
 
@@ -12,18 +12,13 @@ Measures, on the bundled TPC-H:
 * batched re-costing throughput (``CompiledTemplate.explain_many`` plan
   replay, cache disabled) vs the cold per-binding loop — the ``vectorized``
   section, gated at >=5x;
-* serial vs parallel ``profile_many`` wall-clock (process backend with
-  chunked work units, so the planning work actually overlaps under the GIL
-  and IPC is amortized across a chunk);
-* the cache hit rate of the cached phase.
+* the cache hit rate of the cached phase;
+* the overhead of the armed operator profiler on executed queries.
 
 Writes ``BENCH_fastpath.json`` (see ``--output``).  ``--check`` additionally
-enforces the acceptance thresholds (>=5x cached explain, >1.5x parallel
-profiling) and exits non-zero when they are missed.  The parallel threshold
-is hardware-gated: profiling is pure CPU work, so on a single-core machine
-4 processes merely timeshare the core and the "speedup" measures scheduling
-overhead, not a fastpath regression — the check is skipped (and marked so
-in the JSON) when fewer than 2 CPUs are available.
+enforces the acceptance thresholds (>=5x cached explain, >=5x batched
+re-costing, <=10% armed-profiler overhead) and exits non-zero when they are
+missed.
 """
 
 from __future__ import annotations
@@ -220,57 +215,6 @@ def bench_vectorized(db, bindings_per_template: int, repeats: int) -> dict:
     }
 
 
-def bench_profiling(db, samples: int, workers: int, cpus: int) -> dict:
-    """Serial vs process-parallel profile_many over the template set.
-
-    Hardware-gated: profiling is pure CPU work, so on fewer than 2 CPUs the
-    parallel phase would only measure process timesharing.  The section is
-    then marked ``status: "skipped"`` with no speedup number at all (a
-    ``0.86`` "speedup" on one core is noise, not a fastpath regression),
-    and ``perf_gate`` ignores skipped sections.
-    """
-    profiler = TemplateProfiler(db, BarberConfig(seed=0))
-    profiler.profile_many(TEMPLATES[:2], 2)  # warm compile/import paths
-    db.explain_cache.clear()
-
-    started = time.perf_counter()
-    serial = profiler.profile_many(TEMPLATES, samples, workers=1)
-    serial_seconds = time.perf_counter() - started
-    result = {
-        "templates": len(TEMPLATES),
-        "samples_per_template": samples,
-        "workers": workers,
-        "backend": "process",
-        "serial_seconds": round(serial_seconds, 3),
-    }
-    if cpus < 2:
-        result["status"] = "skipped"
-        result["reason"] = (
-            f"parallel speedup needs >=2 CPUs (found {cpus}); a single-core "
-            "measurement reflects timesharing, not the fastpath"
-        )
-        return result
-
-    db.explain_cache.clear()
-    started = time.perf_counter()
-    parallel = profiler.profile_many(
-        TEMPLATES, samples, workers=workers, backend="process"
-    )
-    parallel_seconds = time.perf_counter() - started
-
-    identical = all(
-        a.observations == b.observations and a.errors == b.errors
-        for a, b in zip(serial, parallel)
-    )
-    result.update(
-        status="measured",
-        parallel_seconds=round(parallel_seconds, 3),
-        speedup=round(serial_seconds / parallel_seconds, 2),
-        results_identical=identical,
-    )
-    return result
-
-
 def bench_profile_overhead(db, samples: int) -> dict:
     """Armed vs unarmed operator profiling, on queries that actually execute.
 
@@ -285,7 +229,8 @@ def bench_profile_overhead(db, samples: int) -> dict:
     subset = TEMPLATES[:6]
     profiler = TemplateProfiler(db, config, cost_metric="actual_rows")
     with use_telemetry(Telemetry()):
-        profiler.profile_many(subset, 2)  # warm compile/import paths
+        for template in subset:  # warm compile/import paths
+            profiler.profile(template, 2)
 
     # Alternate armed/unarmed and keep the best of each: on a shared (or
     # single-CPU) machine two long sequential phases pick up background
@@ -297,13 +242,15 @@ def bench_profile_overhead(db, samples: int) -> dict:
     for _ in range(repeats):
         with use_telemetry(Telemetry()):
             started = time.perf_counter()
-            profiler.profile_many(subset, samples)
+            for template in subset:
+                profiler.profile(template, samples)
             unarmed_times.append(time.perf_counter() - started)
 
         armed = Telemetry(profile=True)
         with use_telemetry(armed):
             started = time.perf_counter()
-            profiler.profile_many(subset, samples)
+            for template in subset:
+                profiler.profile(template, samples)
             armed_times.append(time.perf_counter() - started)
         snapshot = armed.profiler.snapshot()
 
@@ -334,25 +281,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vec-bindings", type=int, default=40,
                         help="bindings per template for the batched "
                              "re-costing (vectorized) phase")
-    parser.add_argument("--samples", type=int, default=800,
-                        help="profile samples per template")
     parser.add_argument("--profile-samples", type=int, default=40,
                         help="samples per template for the operator-profiler "
                              "overhead phase (executes real queries)")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--output", "-o", default="BENCH_fastpath.json")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI configuration (fast, no thresholds)")
     parser.add_argument("--check", action="store_true",
                         help="fail unless speedups meet the acceptance bars "
                              "(>=5x cached explain, >=5x batched re-costing, "
-                             ">1.5x parallel profiling, "
                              "<=10% armed-profiler overhead)")
     args = parser.parse_args(argv)
     if args.smoke:
         args.scale, args.repeats, args.bindings = 0.002, 2, 2
-        args.samples, args.profile_samples = 8, 6
-        args.vec_bindings = 8
+        args.profile_samples, args.vec_bindings = 6, 8
 
     db = build_tpch(scale=args.scale, seed=3)
     profiler = TemplateProfiler(db, BarberConfig(seed=0))
@@ -365,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
 
     explain = bench_explain(db, corpus, args.repeats)
     vectorized = bench_vectorized(db, args.vec_bindings, args.repeats)
-    profiling = bench_profiling(db, args.samples, args.workers, cpus)
     profile_overhead = bench_profile_overhead(db, args.profile_samples)
     report = {
         "benchmark": "fastpath",
@@ -374,23 +315,13 @@ def main(argv: list[str] | None = None) -> int:
         "cpus": cpus,
         "explain": explain,
         "vectorized": vectorized,
-        "profiling": profiling,
         "profile_overhead": profile_overhead,
     }
-    if profiling["status"] == "skipped":
-        profiling["parallel_threshold"] = "skipped_single_cpu"
-    else:
-        profiling["parallel_threshold"] = (
-            "met" if profiling["speedup"] > 1.5 else "missed"
-        )
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(json.dumps(report, indent=2))
 
-    if profiling["status"] == "measured" and not profiling["results_identical"]:
-        print("FAIL: parallel profiles diverged from serial", file=sys.stderr)
-        return 1
     if not vectorized["results_identical"]:
         print("FAIL: batched re-costing diverged from cold EXPLAIN",
               file=sys.stderr)
@@ -404,12 +335,6 @@ def main(argv: list[str] | None = None) -> int:
         if vectorized["speedup"] < 5.0:
             failures.append(
                 f"batched re-costing speedup {vectorized['speedup']}x < 5x"
-            )
-        if profiling["status"] == "skipped":
-            print(f"SKIP: {profiling['reason']}", file=sys.stderr)
-        elif profiling["speedup"] <= 1.5:
-            failures.append(
-                f"parallel profiling speedup {profiling['speedup']}x <= 1.5x"
             )
         if args.smoke:
             # Smoke runs execute too few queries for the overhead ratio to

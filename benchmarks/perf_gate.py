@@ -14,7 +14,8 @@ Matching and comparison rules:
   fails the gate (new benchmarks must not break it).
 * Sections carrying ``"status": "skipped"`` are ignored entirely,
   including everything nested under them — a hardware-gated section
-  (e.g. parallel profiling on a single-CPU runner) contributes nothing.
+  (e.g. a multi-core speedup recorded on a single-CPU runner)
+  contributes nothing.
 * Metric kinds are inferred from key names:
     - ``seconds`` / ``*_seconds``: wall-clock, lower is better;
     - ``*_per_second`` / ``*_ops_per_s``: throughput, higher is better;

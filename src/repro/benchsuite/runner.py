@@ -111,7 +111,6 @@ class ExperimentRunner:
         per_interval_budget_seconds: float = 2.0,
         config: BarberConfig | None = None,
         sinks: list | None = None,
-        workers: int | None = None,
         explain_cache: bool = True,
     ) -> MethodRun:
         if method == "sqlbarber":
@@ -122,7 +121,6 @@ class ExperimentRunner:
                 time_budget_seconds=time_budget_seconds,
                 config=config,
                 sinks=sinks,
-                workers=workers,
                 explain_cache=explain_cache,
             )
         return self.run_baseline(
@@ -141,15 +139,12 @@ class ExperimentRunner:
         time_budget_seconds: float | None = None,
         config: BarberConfig | None = None,
         sinks: list | None = None,
-        workers: int | None = None,
         explain_cache: bool = True,
     ) -> MethodRun:
         db = build_database(db_name)
         if not explain_cache:
             db.set_explain_cache(False)
         config = config or BarberConfig(seed=self.seed)
-        if workers is not None:
-            config = config.with_overrides(workers=workers)
         barber = SQLBarber(db, config=config, sinks=sinks)
         result = barber.generate_workload(
             self.specs(), distribution, time_budget_seconds=time_budget_seconds

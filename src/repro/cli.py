@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--intervals", type=int, default=10)
     generate.add_argument(
         "--shape", default="uniform",
-        help="uniform | normal | snowset_card_1 | snowset_card_2 | "
-             "snowset_cost | redset_cost",
+        choices=["uniform", "normal", "snowset_card_1", "snowset_card_2",
+                 "snowset_cost", "redset_cost"],
+        help="target distribution shape (the last four are fleet-derived)",
     )
     generate.add_argument(
         "--cost-type", default="plan_cost",
@@ -108,16 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--num-specs", type=int, default=8,
                           help="fleet-derived specs when none are given")
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument(
-        "--workers", type=int, default=1,
-        help="worker count for profiling/refinement fan-out (results are "
-             "bit-identical to --workers 1)",
-    )
-    generate.add_argument(
-        "--parallel-backend", default="thread", choices=["thread", "process"],
-        help="pool flavour for --workers > 1 (process pays a fork per worker "
-             "but overlaps CPU-bound planning)",
-    )
     generate.add_argument(
         "--no-explain-cache", action="store_true",
         help="disable the EXPLAIN result cache (debugging escape hatch)",
@@ -200,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--queries", type=int, default=None,
                      help="override the benchmark's query count")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker count for the sqlbarber method's profiling fan-out",
-    )
     run.add_argument(
         "--no-explain-cache", action="store_true",
         help="disable the EXPLAIN result cache (sqlbarber method only)",
@@ -434,32 +421,29 @@ def cmd_schema(args) -> int:
     return 0
 
 
+def _workload_mix(text: str | None):
+    if not text:
+        return None
+    from repro.workload.mixer import parse_mix
+
+    try:
+        return parse_mix(text)
+    except ValueError as exc:
+        raise ValueError(f"--workload-mix: {exc}") from None
+
+
 def cmd_generate(args) -> int:
     """`repro generate`: run SQLBarber end-to-end, optionally write JSONL.
 
     Stdout carries exactly one JSON summary object; the target histogram and
-    progress diagnostics go to the logger (stderr).
+    progress diagnostics go to the logger (stderr).  Exit code 0 for a
+    complete run, 1 for an incomplete one, and 2 (one line on stderr) for
+    arguments that make no target distribution or no valid configuration.
     """
-    db = build_database(args.db, scale=args.scale)
-    if args.no_explain_cache:
-        db.set_explain_cache(False)
-    workload_mix = None
-    if args.workload_mix:
-        from repro.workload.mixer import parse_mix
-
-        try:
-            workload_mix = parse_mix(args.workload_mix)
-        except ValueError as exc:
-            raise SystemExit(f"repro: error: --workload-mix: {exc}")
-    specs = _load_specs(args)
-    distribution = _build_distribution(args)
-    logger.info("target distribution:\n%s", histogram_text(distribution))
-    barber = SQLBarber(
-        db,
-        config=BarberConfig(
+    try:
+        distribution = _build_distribution(args)
+        config = BarberConfig(
             seed=args.seed,
-            workers=args.workers,
-            parallel_backend=args.parallel_backend,
             max_tokens=args.max_tokens,
             max_cost_dollars=args.max_cost_dollars,
             query_timeout_seconds=args.query_timeout,
@@ -467,9 +451,18 @@ def cmd_generate(args) -> int:
             row_budget=args.row_budget,
             quarantine_after=args.quarantine_after,
             profile=args.profile,
-            workload_mix=workload_mix,
-        ),
-        sinks=_telemetry_sinks(args.trace_out),
+            workload_mix=_workload_mix(args.workload_mix),
+        )
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    db = build_database(args.db, scale=args.scale)
+    if args.no_explain_cache:
+        db.set_explain_cache(False)
+    specs = _load_specs(args)
+    logger.info("target distribution:\n%s", histogram_text(distribution))
+    barber = SQLBarber(
+        db, config=config, sinks=_telemetry_sinks(args.trace_out)
     )
     subscribers = [ProgressRenderer(sys.stderr)] if args.progress else []
     result = barber.generate_workload(
@@ -555,7 +548,6 @@ def cmd_run_benchmark(args) -> int:
         time_budget_seconds=args.time_budget,
         per_interval_budget_seconds=args.baseline_interval_budget,
         sinks=_telemetry_sinks(args.trace_out) if args.trace_out else None,
-        workers=args.workers,
         explain_cache=not args.no_explain_cache,
     )
     if args.trace_out:

@@ -164,9 +164,6 @@ def _substrate_totals(telemetry: Telemetry) -> dict[str, float]:
             + metrics.total("sqldb.execute.calls")
         ),
         "governor_strikes": metrics.total("governor.strikes"),
-        "governor_cancellations": (
-            metrics.total("governor.watchdog_cancellations")
-        ),
         "governor_quarantines": metrics.total("governor.quarantines"),
     }
 
@@ -471,8 +468,9 @@ class SQLBarber:
                         ]
                         position = int(progress["position"])
                     # Per-template seeding makes chunked profiling
-                    # bit-identical to the one-shot call, so checkpointed
-                    # runs pay nothing for the finer save granularity.
+                    # bit-identical to one pass over all templates, so
+                    # checkpointed runs pay nothing for the finer save
+                    # granularity.
                     chunk = (
                         max(int(self.config.checkpoint_every_templates), 1)
                         if manager is not None
@@ -480,7 +478,7 @@ class SQLBarber:
                     )
                     while position < len(templates):
                         batch = templates[position : position + chunk]
-                        raw.extend(profiler.profile_many(batch, samples))
+                        raw.extend(profiler.profile(t, samples) for t in batch)
                         position += len(batch)
                         if manager is not None and position < len(templates):
                             save(
@@ -649,7 +647,7 @@ class SQLBarber:
             # Deterministic read/write interleave: a seeded post-pass swaps
             # a fraction of the searched SELECTs for grammar-built DML,
             # costed via EXPLAIN (estimates only — nothing executes here,
-            # so resumed and parallel runs fingerprint identically).
+            # so resumed runs fingerprint identically).
             from repro.workload.mixer import WorkloadMixer
 
             workload = WorkloadMixer(self.db, self.config.seed).mix(

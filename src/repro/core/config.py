@@ -66,13 +66,6 @@ class BarberConfig:
     bo_initial_samples: int = 6
     reuse_history: bool = True  # warm-start BO from profiling observations
 
-    # -- repro.fastpath: caching and parallelism ---------------------------------
-    # Worker count for the profile/refine fan-out; 1 = serial (the default,
-    # observably identical to pre-fastpath behaviour).  Results are
-    # bit-identical across worker counts thanks to per-template seeding.
-    workers: int = 1
-    parallel_backend: str = "thread"  # 'thread' | 'process'
-
     # -- repro.resilience: budgets and checkpointing -------------------------------
     # Hard spend ceilings, checked before every LLM call.  Reaching one
     # raises BudgetExhausted, which the pipeline converts into a graceful
@@ -100,9 +93,6 @@ class BarberConfig:
     quarantine_after: int = 3
     # Seeded engine fault model (repro.governor.EngineFaultModel) or None.
     engine_faults: object | None = None
-    # Out-of-band wall-clock guard for stuck profiling workers; None = off.
-    # Nondeterministic by nature — never enable in reproducibility tests.
-    watchdog_timeout_seconds: float | None = None
 
     # -- repro.obs: observability --------------------------------------------------
     # Arm the operator-level executor profiler for the run: every executed
@@ -116,7 +106,7 @@ class BarberConfig:
     # None (the default) for an all-SELECT output.  Mixing is a
     # deterministic post-pass over the search result: the statement at
     # position i depends only on (seed, i) and the schema, so mixed
-    # workloads stay byte-identical across runs and worker counts.  DML
+    # workloads stay byte-identical across runs and kill/resume.  DML
     # replacements are drawn from the fuzz grammar and costed via EXPLAIN,
     # which never executes them.
     workload_mix: tuple[float, float, float, float] | None = None
@@ -148,15 +138,6 @@ class BarberConfig:
                     f"use None to disable the limit"
                 )
 
-        if self.workers < 1:
-            raise ValueError(
-                f"BarberConfig.workers must be >= 1 (got {self.workers})"
-            )
-        if self.parallel_backend not in ("thread", "process"):
-            raise ValueError(
-                f"BarberConfig.parallel_backend must be 'thread' or "
-                f"'process' (got {self.parallel_backend!r})"
-            )
         if self.governor_clock not in ("system", "simulated"):
             raise ValueError(
                 f"BarberConfig.governor_clock must be 'system' or "
@@ -192,7 +173,6 @@ class BarberConfig:
         _positive("query_timeout_seconds", self.query_timeout_seconds)
         _positive("memory_budget_mb", self.memory_budget_mb)
         _positive("row_budget", self.row_budget)
-        _positive("watchdog_timeout_seconds", self.watchdog_timeout_seconds)
         _positive("time_budget_seconds", self.time_budget_seconds)
         _positive("max_tokens", self.max_tokens)
         _positive("max_cost_dollars", self.max_cost_dollars)

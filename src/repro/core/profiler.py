@@ -10,7 +10,6 @@ interval (via the closeness score of Eq. 2).
 from __future__ import annotations
 
 import math
-import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from repro.bo import (
 )
 from repro.governor import (
     GOVERNOR_SEED_OFFSET,
-    GovernorBoard,
     GovernorLimits,
     TemplateGuard,
     use_governor,
@@ -132,32 +130,6 @@ class TemplateProfile:
         }
 
 
-def emit_profile_events(telemetry, profile: TemplateProfile) -> None:
-    """Publish one template's progress events to *telemetry*.
-
-    The payloads are pure functions of the finished profile — no wall
-    clocks, no worker identity — so a parallel parent can replay them in
-    input order and reproduce the serial event stream exactly (see
-    ``ParallelProfiler._replay_events``).
-    """
-    if not telemetry.enabled:
-        return
-    telemetry.event(
-        "template_profiled",
-        template_id=profile.template.template_id,
-        queries=len(profile.observations),
-        errors=profile.errors,
-        quarantined=profile.quarantined,
-    )
-    if profile.quarantined:
-        telemetry.event(
-            "template_quarantined",
-            template_id=profile.template.template_id,
-            reason=profile.quarantine_reason,
-            strikes=profile.resource_strikes,
-        )
-
-
 class TemplateProfiler:
     """Builds search spaces and profiles templates on the target database."""
 
@@ -189,9 +161,6 @@ class TemplateProfiler:
         ):
             raise ValueError(f"unknown cost metric {cost_metric!r}")
         self.cost_metric = cost_metric
-        # In-flight governor registry for the (optional) watchdog.  Dropped
-        # on pickling — process workers are watched by their own lifecycle.
-        self.board = GovernorBoard()
         # Compiled fast-path per template id; None marks a template whose
         # compilation failed, pinning it to the cold path permanently.
         self._compiled: dict[str, object | None] = {}
@@ -200,21 +169,13 @@ class TemplateProfiler:
         """A private RNG per template, independent of profiling order.
 
         Seeding from (config seed, template id) makes each template's sample
-        stream a pure function of the template, so profiles are bit-identical
-        whether templates run serially or fan out across workers.
+        stream a pure function of the template, so a profile does not depend
+        on which templates were profiled before it, and the profile stage
+        can checkpoint between any two templates.
         """
         return np.random.default_rng(
             [self.config.seed + 17, zlib.crc32(template.template_id.encode())]
         )
-
-    def __getstate__(self) -> dict:
-        # Compiled templates hold locks; workers recompile on demand.  The
-        # governor board holds a lock too (and a watchdog is per-process by
-        # design), so process workers start with no board.
-        state = dict(self.__dict__)
-        state["_compiled"] = {}
-        state["board"] = None
-        return state
 
     # -- search space construction ------------------------------------------------
 
@@ -379,7 +340,7 @@ class TemplateProfiler:
 
         The fault RNG stream is seeded from (seed + offset, template id) —
         disjoint from the sampling streams and independent of profiling
-        order, so fault sequences are identical serial or fanned out.
+        order.
         """
         limits = GovernorLimits.from_config(self.config)
         faults = self.config.engine_faults
@@ -416,14 +377,8 @@ class TemplateProfiler:
         for the caller instead of an exception.
         """
         telemetry = current_telemetry()
-        board = getattr(self, "board", None)
         for attempt in range(self._STORAGE_RETRIES + 1):
             governor = guard.governor()
-            ticket = None
-            if board is not None and board.armed:
-                ticket = board.register(
-                    guard.template_id, governor, time.monotonic()
-                )
             try:
                 with use_governor(governor):
                     cost = self.evaluate(template, values)
@@ -436,8 +391,6 @@ class TemplateProfiler:
                 if attempt == self._STORAGE_RETRIES:
                     return None, None  # exhausted: an ordinary error
             finally:
-                if ticket is not None:
-                    board.unregister(ticket)
                 guard.observe(governor)
                 if governor.faults_injected and telemetry.enabled:
                     telemetry.count(
@@ -480,32 +433,22 @@ class TemplateProfiler:
                         profile.peak_bytes,
                         template=template.template_id,
                     )
-        emit_profile_events(telemetry, profile)
+        if telemetry.enabled:
+            telemetry.event(
+                "template_profiled",
+                template_id=template.template_id,
+                queries=len(profile.observations),
+                errors=profile.errors,
+                quarantined=profile.quarantined,
+            )
+            if profile.quarantined:
+                telemetry.event(
+                    "template_quarantined",
+                    template_id=template.template_id,
+                    reason=profile.quarantine_reason,
+                    strikes=profile.resource_strikes,
+                )
         return profile
-
-    def profile_many(
-        self,
-        templates,
-        num_samples: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> list[TemplateProfile]:
-        """Profile several templates, fanning out when workers > 1.
-
-        Defaults come from the config (``workers``, ``parallel_backend``).
-        Output order matches input order, and per-template seeding makes the
-        profiles bit-identical to the serial loop at any worker count.
-        """
-        templates = list(templates)
-        workers = self.config.workers if workers is None else workers
-        backend = self.config.parallel_backend if backend is None else backend
-        if workers <= 1 or len(templates) <= 1:
-            return [self.profile(t, num_samples) for t in templates]
-        from repro.fastpath.parallel import ParallelProfiler
-
-        return ParallelProfiler(self, workers, backend).profile_many(
-            templates, num_samples
-        )
 
     def _profile_inner(
         self, template: SqlTemplate, num_samples: int | None

@@ -160,14 +160,6 @@ class TemplateRefiner:
         history: dict[int, list[dict]],
         profile_samples: int | None,
     ) -> list[TemplateProfile]:
-        if not phase.use_history and self.config.workers > 1:
-            # History-free phases are order-independent between the LLM
-            # rewrite and the accept/prune bookkeeping, so profiling can fan
-            # out; history-driven phases must stay sequential because each
-            # candidate's prompt depends on the previous candidate's outcome.
-            return self._refine_for_intervals_batch(
-                intervals, phase, result, distribution, history, profile_samples
-            )
         telemetry = current_telemetry()
         new_profiles: list[TemplateProfile] = []
         for j in intervals:
@@ -235,85 +227,6 @@ class TemplateRefiner:
                     telemetry.count("refine.attempts", attempts)
                     telemetry.count("refine.accepted", accepted)
                     telemetry.count("refine.pruned", pruned_count)
-        return new_profiles
-
-    def _refine_for_intervals_batch(
-        self,
-        intervals: list[int],
-        phase: RefinementPhase,
-        result: RefinementResult,
-        distribution: CostDistribution,
-        history: dict[int, list[dict]],
-        profile_samples: int | None,
-    ) -> list[TemplateProfile]:
-        """Parallel variant of :meth:`_refine_for_intervals`.
-
-        Produces bit-identical results to the serial loop: LLM rewrites run
-        first in the exact serial order (the simulated LLM's fault stream is
-        call-order dependent), candidate profiling fans out (safe — profiles
-        are per-template seeded and nothing in the serial loop reads state a
-        profile writes), and prune/accept bookkeeping replays sequentially
-        in serial order.
-        """
-        telemetry = current_telemetry()
-        counters = {j: {"attempts": 0, "accepted": 0, "pruned": 0} for j in intervals}
-        tasks: list[tuple[int, SqlTemplate]] = []
-        for j in intervals:
-            low, high = distribution.interval_bounds(j)
-            ranked = sorted(
-                (p for p in result.profiles if p.is_usable),
-                key=lambda p: p.closeness(
-                    low, high, use_variety=self.config.use_variety_factor
-                ),
-                reverse=True,
-            )
-            for profile in ranked[: phase.templates_per_interval]:
-                new_sql = self._llm_refine(
-                    profile, (low, high), None, distribution.cost_type
-                )
-                result.refine_calls += 1
-                counters[j]["attempts"] += 1
-                if not new_sql or (
-                    new_sql.strip() == profile.template.sql.strip()
-                ):
-                    continue
-                tasks.append((j, self._make_template(profile.template, new_sql)))
-        candidate_profiles = self.profiler.profile_many(
-            [template for _, template in tasks], profile_samples
-        )
-        new_profiles: list[TemplateProfile] = []
-        for (j, template), new_profile in zip(tasks, candidate_profiles):
-            if new_profile.quarantined:
-                result.quarantined.append(
-                    QuarantineRecord.from_profile(new_profile, stage="refine")
-                )
-            pruned = self._prune(new_profile, intervals, result, distribution)
-            history.setdefault(j, []).append(
-                {
-                    "sql": template.sql,
-                    "min_cost": new_profile.min_cost,
-                    "max_cost": new_profile.max_cost,
-                    "accepted": not pruned,
-                }
-            )
-            if pruned:
-                result.pruned += 1
-                counters[j]["pruned"] += 1
-                continue
-            new_profiles.append(new_profile)
-            result.accepted.append(new_profile.template)
-            counters[j]["accepted"] += 1
-        if telemetry.enabled:
-            for j in intervals:
-                low, high = distribution.interval_bounds(j)
-                with telemetry.span(
-                    "refine.interval", interval=j, low=low, high=high,
-                    with_history=phase.use_history,
-                ) as span:
-                    span.set(**counters[j])
-                telemetry.count("refine.attempts", counters[j]["attempts"])
-                telemetry.count("refine.accepted", counters[j]["accepted"])
-                telemetry.count("refine.pruned", counters[j]["pruned"])
         return new_profiles
 
     def _llm_refine(

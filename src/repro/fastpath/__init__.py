@@ -1,14 +1,12 @@
 """Hot-path acceleration for the SQLBarber cost loops.
 
-Three pieces, composable but independent:
+Two pieces, composable but independent:
 
 * :class:`ExplainCache` / :func:`normalize_sql` — memoize EXPLAIN results
   keyed by normalized SQL, invalidated by the catalog's statistics epoch;
 * :class:`CompiledTemplate` — parse, bind, and prepare a template's plan
   skeleton once, then run only the planner's costing pass per literal
-  binding, to EXPLAIN it or to execute its plan;
-* :class:`ParallelProfiler` — fan template profiling across a thread or
-  process pool with deterministic per-template seeding.
+  binding, to EXPLAIN it or to execute its plan.
 
 Exports resolve lazily (PEP 562): :mod:`repro.sqldb.database` imports the
 cache module at import time, while :mod:`~repro.fastpath.compiled` imports
@@ -23,7 +21,6 @@ _EXPORTS = {
     "DEFAULT_CACHE_SIZE": ("repro.fastpath.cache", "DEFAULT_CACHE_SIZE"),
     "CompiledTemplate": ("repro.fastpath.compiled", "CompiledTemplate"),
     "literal_expression": ("repro.fastpath.compiled", "literal_expression"),
-    "ParallelProfiler": ("repro.fastpath.parallel", "ParallelProfiler"),
 }
 
 __all__ = list(_EXPORTS)

@@ -11,9 +11,10 @@ a pure function of (SQL text, catalog statistics), so they cache perfectly:
 * the whole cache is keyed to the catalog's *statistics epoch* — any DDL,
   data load, or re-analyze bumps the epoch and the next lookup drops every
   entry, so stale costs are impossible by construction;
-* lookups are single-flight: when N threads miss on the same key at once,
-  one computes and the rest wait, which keeps hit/miss counters identical
-  between serial and parallel runs (no duplicated cold plans);
+* lookups are single-flight: when N threads that share one ``Database``
+  miss on the same key at once, one computes and the rest wait, so no cold
+  plan is computed twice and the hit/miss counters do not depend on how
+  the threads interleave;
 * hit/miss/eviction/invalidation counters are exported both through the
   ambient :mod:`repro.obs` telemetry (``sqldb.explain.cache.*``) and through
   :meth:`ExplainCache.stats` for telemetry-free benchmarking.
@@ -81,14 +82,6 @@ class ExplainCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    # -- pickling: locks and in-flight state are process-local ----------------
-
-    def __getstate__(self) -> dict:
-        return {"maxsize": self.maxsize}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(maxsize=state["maxsize"])
 
     # -- introspection --------------------------------------------------------
 

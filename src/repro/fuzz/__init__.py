@@ -9,8 +9,8 @@ pyrqg / SQLsmith adapted to a differential-testing setting:
   :mod:`repro.sqldb.sql_render`;
 * :mod:`repro.fuzz.oracles` — differential oracles asserting agreement
   between independent implementations of the same contract (cold pipeline
-  vs compiled templates, cached vs uncached EXPLAIN, serial vs parallel
-  profiling, render round-trips, executor-vs-estimator sanity);
+  vs compiled templates, cached vs uncached EXPLAIN, render round-trips,
+  executor-vs-estimator sanity, committed DML vs cached costs);
 * :mod:`repro.fuzz.shrink` — a delta-debugging shrinker that reduces a
   failing statement to a minimal reproducer;
 * :mod:`repro.fuzz.corpus` — a JSON regression corpus replayed by pytest.

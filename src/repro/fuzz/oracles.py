@@ -13,9 +13,6 @@ contract agree on a generated statement:
   pipeline, and executing its prepared plan returns the cold execution's
   table (or error), on the original binding and on one where every value
   differs;
-* :class:`ParallelProfilerOracle` — profiling templatized statements
-  through :class:`ParallelProfiler` is bit-identical to the serial loop
-  (batched: checked once over the accumulated templates at end of run);
 * :class:`ExecutionOracle` — executor results are consistent with the
   estimator's invariants (finite non-negative costs, ``total >= startup``,
   LIMIT respected) and with predicate monotonicity (ANDing a conjunct
@@ -37,14 +34,11 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 
-from repro.core.config import BarberConfig
-from repro.core.profiler import TemplateProfiler
 from repro.fastpath.compiled import (
     CompiledTemplate,
     bound_literal_type,
     literal_expression,
 )
-from repro.fastpath.parallel import ParallelProfiler
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.database import Database
 from repro.sqldb.errors import ConstraintError, SqlError
@@ -341,59 +335,6 @@ def _shift_text(value: str) -> str:
     return (day + datetime.timedelta(days=1)).isoformat()
 
 
-class ParallelProfilerOracle(Oracle):
-    """Serial and parallel profiling produce bit-identical profiles.
-
-    Template profiling is ~100x the cost of one EXPLAIN, so this oracle
-    samples (``stride``) and defers the actual comparison to
-    :meth:`finish`, where the accumulated templates are profiled as one
-    batch — ``ParallelProfiler`` only fans out for 2+ templates.
-    """
-
-    name = "parallel_profiler"
-    stride = 25
-    max_templates = 8
-    samples = 4
-
-    def __init__(self):
-        self._templates: list[SqlTemplate] = []
-
-    def check(self, ctx, gen):
-        if len(self._templates) >= self.max_templates:
-            return SKIPPED
-        template, values = templatize(gen.sql, ctx.db)
-        if template is None:
-            return SKIPPED
-        template.template_id = f"fuzz_{gen.index}"
-        self._templates.append(template)
-        return None
-
-    def finish(self, ctx):
-        if len(self._templates) < 2:
-            return []
-        config = BarberConfig(seed=ctx.seed, workers=1)
-        profiler = TemplateProfiler(ctx.db, config)
-        serial = profiler.profile_many(self._templates, self.samples)
-        parallel = ParallelProfiler(profiler, workers=2, backend="thread").profile_many(
-            self._templates, self.samples
-        )
-        out = []
-        for template, s, p in zip(self._templates, serial, parallel):
-            if s.observations != p.observations or s.errors != p.errors:
-                out.append(
-                    Disagreement(
-                        oracle=self.name,
-                        sql=template.sql,
-                        detail=(
-                            f"serial vs parallel profile differs: "
-                            f"{len(s.observations)} obs {s.costs[:4]} vs "
-                            f"{len(p.observations)} obs {p.costs[:4]}"
-                        ),
-                    )
-                )
-        return out
-
-
 class ExecutionOracle(Oracle):
     """Actual execution is consistent with the estimator's invariants."""
 
@@ -540,7 +481,6 @@ def default_oracles() -> list[Oracle]:
         CompiledTemplateOracle(),
         ExecutionOracle(),
         DmlEpochOracle(),
-        ParallelProfilerOracle(),
     ]
 
 
@@ -553,7 +493,6 @@ __all__ = [
     "ExplainCacheOracle",
     "CompiledTemplateOracle",
     "DmlEpochOracle",
-    "ParallelProfilerOracle",
     "ExecutionOracle",
     "default_oracles",
     "templatize",

@@ -2,7 +2,7 @@
 
 PR 4 (``repro.resilience``) made the LLM transport survivable; this package
 does the same for the embedded engine, which otherwise executes whatever an
-LLM hallucinates — including unbounded cross products.  Four cooperating
+LLM hallucinates — including unbounded cross products.  Three cooperating
 pieces:
 
 * :mod:`~repro.governor.context` — :class:`QueryGovernor`: per-query
@@ -15,13 +15,9 @@ pieces:
 * :mod:`~repro.governor.faults` — :class:`EngineFaultModel`: seeded slow
   operators, transient storage errors, and spurious cancellations, so the
   degradation paths are themselves testable.
-* :mod:`~repro.governor.watchdog` — :class:`Watchdog`: an out-of-band
-  wall-clock guard that converts a stuck profiling worker into a
-  cooperative cancellation (and hence a quarantine strike).
 """
 
 from .context import (
-    GovernorBoard,
     GovernorLimits,
     QueryGovernor,
     clock_for,
@@ -30,17 +26,14 @@ from .context import (
 )
 from .faults import GOVERNOR_SEED_OFFSET, EngineFaultModel
 from .quarantine import QuarantineRecord, TemplateGuard
-from .watchdog import Watchdog
 
 __all__ = [
     "EngineFaultModel",
     "GOVERNOR_SEED_OFFSET",
-    "GovernorBoard",
     "GovernorLimits",
     "QuarantineRecord",
     "QueryGovernor",
     "TemplateGuard",
-    "Watchdog",
     "clock_for",
     "current_governor",
     "use_governor",

@@ -24,13 +24,11 @@ Installation is ambient (a :mod:`contextvars` variable), mirroring
 :mod:`repro.obs`: the profiler installs a governor with
 :func:`use_governor` around one query and the executor picks it up via
 :func:`current_governor` without any signature plumbing.  Contexts are
-per-thread, so the thread-backend parallel profiler gets one governor per
-worker for free.
+per-thread, so concurrent callers never see each other's governor.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -104,9 +102,8 @@ def clock_for(name: str) -> "Clock":
 class QueryGovernor:
     """One query's resource-governance context.
 
-    Not shared between concurrent queries; the only cross-thread access is
-    :meth:`cancel` (a watchdog flipping the flag), which is guarded by the
-    GIL-atomic write of a bool plus a string.
+    Not shared between concurrent queries.  :meth:`cancel` flips a flag
+    that the next :meth:`check` turns into :class:`QueryCancelled`.
     """
 
     def __init__(
@@ -143,7 +140,7 @@ class QueryGovernor:
     def cancel(self, reason: str) -> None:
         """Request cancellation; the query raises at its next check.
 
-        Safe to call from another thread (the watchdog's path).
+        The fault model's spurious cancellations come through here.
         """
         self._cancel_reason = reason
         self._cancelled = True
@@ -282,32 +279,3 @@ def use_governor(governor: QueryGovernor | None):
         yield governor
     finally:
         _ACTIVE.reset(token)
-
-
-class GovernorBoard:
-    """Thread-safe registry of in-flight governors, for the watchdog.
-
-    Registration is gated on :attr:`armed` so the fault-free fast path
-    (no watchdog) pays nothing beyond one attribute read.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._active: dict[int, tuple[str, QueryGovernor, float]] = {}
-        self._next = 0
-        self.armed = False
-
-    def register(self, key: str, governor: QueryGovernor, started: float) -> int:
-        with self._lock:
-            ticket = self._next
-            self._next += 1
-            self._active[ticket] = (key, governor, started)
-        return ticket
-
-    def unregister(self, ticket: int) -> None:
-        with self._lock:
-            self._active.pop(ticket, None)
-
-    def snapshot(self) -> list[tuple[str, QueryGovernor, float]]:
-        with self._lock:
-            return list(self._active.values())

@@ -10,8 +10,8 @@ ungoverned engine behaves exactly as before this model existed.
 Draws come from a dedicated per-template RNG stream (seeded from
 ``(config.seed + GOVERNOR_SEED_OFFSET, crc32(template_id))`` by the
 profiler), so injecting faults never perturbs the sampling streams and the
-fault sequence for a template is identical whether it is profiled serially
-or on a worker pool.
+fault sequence for a template does not depend on which templates were
+profiled before it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class EngineFaultModel:
     waiting.  ``storage_error_rate`` raises a retryable
     :class:`~repro.sqldb.errors.TransientStorageError` at scan nodes.
     ``cancel_rate`` flips the governor's cancel flag, simulating an
-    administrator (or watchdog) killing the session.
+    administrator killing the session.
     """
 
     slow_operator_rate: float = 0.0

@@ -12,8 +12,8 @@ carries a record of who was benched and why.
 :class:`TemplateGuard` is the per-template bookkeeping: it mints one fresh
 :class:`~repro.governor.context.QueryGovernor` per query (a new deadline
 per statement, like ``statement_timeout``) and accumulates strikes.  Being
-per-template makes the whole mechanism embarrassingly parallel — serial and
-fanned-out profiling quarantine identically.
+per-template makes a template's quarantine decision independent of the
+order in which templates are profiled.
 """
 
 from __future__ import annotations

@@ -8,11 +8,9 @@ the structured payload immediately.
 
 Determinism contract: an event's *payload* is derived purely from pipeline
 data (template ids, row counts, stage names), never from wall clocks or
-worker identity; the envelope adds a monotonically increasing ``seq``.
-Under parallel profiling the workers' telemetry facades suppress events and
-the parent replays them in input order from the returned profiles, so the
-fingerprinted stream (see :func:`event_fingerprint`) is bit-identical
-serial vs parallel at any worker count.
+thread identity; the envelope adds a monotonically increasing ``seq``.  The
+fingerprinted stream (see :func:`event_fingerprint`) is therefore
+bit-identical across reruns of the same seeded run.
 """
 
 from __future__ import annotations

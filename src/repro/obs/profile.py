@@ -18,8 +18,8 @@ Determinism contract: wall times are measurements and vary run to run, but
 everything else — tree shapes, row counts, batch counts, query counts — is
 a pure function of the executed statements.  :meth:`fingerprint` strips
 the timing fields, and both aggregations are keyed and commutative, so the
-fingerprint is bit-identical serial vs parallel at any worker count and
-across kill/resume (the collector state rides in checkpoints).
+fingerprint is bit-identical across reruns and across kill/resume (the
+collector state rides in checkpoints).
 
 The unarmed path costs nothing: the executor reads one context variable
 per operator boundary (alongside the governor's), and no per-row callable
@@ -194,17 +194,6 @@ class ExecProfileCollector:
         self._trees: dict[tuple, tuple[OperatorProfile, int]] = {}
         self._operators: dict[str, dict] = {}
 
-    # -- pickling (process-backend transport; locks do not travel) -------------
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     # -- recording ------------------------------------------------------------
 
     def record(self, roots: list[OperatorProfile]) -> None:
@@ -246,7 +235,7 @@ class ExecProfileCollector:
         agg["self_seconds"] += node.self_seconds
         agg["sketch"].observe(node.self_seconds)
 
-    # -- merging (parallel workers, checkpoint restore) -----------------------
+    # -- merging ----------------------------------------------------------------
 
     def merge(self, other: "ExecProfileCollector") -> None:
         with self._lock:

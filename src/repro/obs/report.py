@@ -115,7 +115,6 @@ def task_rows(metrics: dict) -> list[dict]:
 # from governor-free runs carry none of these keys).
 _GOVERNOR_FIELDS = (
     ("governor_strikes", "strikes"),
-    ("governor_cancellations", "cancellations"),
     ("governor_quarantines", "quarantines"),
 )
 

@@ -207,18 +207,16 @@ def refinement_from_state(state: dict, profiler):
     )
 
 
-#: Config fields that shape *execution* (spend ceilings, parallelism,
-#: checkpoint cadence) but provably not the generated content.  They are
-#: excluded from the run key so a budget-exhausted run can be resumed with
-#: a topped-up budget, or on a machine with a different worker count.
+#: Config fields that shape *execution* (spend ceilings, checkpoint
+#: cadence, the wall-clock budget, operator profiling) but provably not the
+#: generated content.  They are excluded from the run key so a
+#: budget-exhausted run can be resumed with a topped-up budget.
 _EXECUTION_ONLY_CONFIG_FIELDS = frozenset(
     {
         "max_tokens",
         "max_cost_dollars",
         "checkpoint_every_templates",
         "time_budget_seconds",
-        "workers",
-        "parallel_backend",
         "profile",
     }
 )

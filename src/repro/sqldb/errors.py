@@ -127,7 +127,7 @@ class RowBudgetExceeded(ResourceExceeded):
 
 
 class QueryCancelled(ResourceExceeded):
-    """The query was cancelled cooperatively (watchdog, injected fault)."""
+    """The query was cancelled cooperatively (``QueryGovernor.cancel``)."""
 
 
 class TransientStorageError(ExecutionError):

@@ -16,6 +16,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _require_intervals(num_intervals: int) -> None:
+    if num_intervals < 1:
+        raise ValueError("at least one interval is required")
+
+
 @dataclass(frozen=True)
 class CostDistribution:
     """A histogram-shaped target: intervals over a cost range + counts."""
@@ -130,6 +135,7 @@ class CostDistribution:
         name: str = "uniform",
         cost_type: str = "plan_cost",
     ) -> "CostDistribution":
+        _require_intervals(num_intervals)
         base, extra = divmod(num_queries, num_intervals)
         counts = tuple(
             base + (1 if i < extra else 0) for i in range(num_intervals)
@@ -148,6 +154,7 @@ class CostDistribution:
         cost_type: str = "plan_cost",
     ) -> "CostDistribution":
         """A discretized Gaussian over the cost range."""
+        _require_intervals(num_intervals)
         mids = np.linspace(0, 1, num_intervals + 1)
         mids = (mids[:-1] + mids[1:]) / 2
         density = np.exp(-0.5 * ((mids - mean_fraction) / std_fraction) ** 2)
@@ -191,6 +198,7 @@ class CostDistribution:
         cost_type: str = "plan_cost",
     ) -> "CostDistribution":
         """Fit the target histogram to empirical samples (fleet statistics)."""
+        _require_intervals(num_intervals)
         bounds = np.linspace(lower, upper, num_intervals + 1)
         clipped = np.clip(np.asarray(samples, dtype=np.float64), lower, upper)
         histogram, _ = np.histogram(clipped, bins=bounds)

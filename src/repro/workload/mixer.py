@@ -10,10 +10,9 @@ so mixing is side-effect free and cannot perturb later decisions.
 
 Reproducibility contract: the keep-or-replace decision and the replacement
 statement at position *i* are a pure function of ``(seed, i)`` and the
-schema — never of earlier queries — so mixed workloads are prefix-stable,
-byte-identical across runs, and identical across serial and parallel
-pipelines (mixing runs after the search stage, which is itself pinned
-bit-identical across worker counts).
+schema — never of earlier queries — so mixed workloads are prefix-stable
+and byte-identical across runs and across kill/resume (mixing runs after
+the search stage, which is itself bit-identical across both).
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Observability determinism under parallelism.
+"""Observability determinism of template profiling.
 
-The PR's contract: operator-profile fingerprints and event-stream
-fingerprints are bit-identical serial vs parallel — thread or process
-backend, any worker count — because collectors merge commutatively and
-workers' events are replayed by the parent in input order.
+Operator-profile fingerprints and event-stream fingerprints are pure
+functions of the profiled templates: a rerun reproduces them bit for bit,
+and the per-template progress events arrive in input order.
 """
 
 import pytest
@@ -38,40 +37,26 @@ def db():
     return build_tpch(scale=0.002, seed=3)
 
 
-def profile_run(db, workers, backend=None, profile=True, sink=None):
-    """One profile_many pass under an armed telemetry; returns telemetry."""
+def profile_run(db, profile=True, sink=None):
+    """Profile every template under an armed telemetry; returns telemetry."""
     profiler = TemplateProfiler(
         db, BarberConfig(seed=0), cost_metric="actual_rows"
     )
     sinks = [sink] if sink is not None else []
     telemetry = Telemetry(sinks=sinks, profile=profile)
     with use_telemetry(telemetry):
-        kwargs = {"workers": workers}
-        if backend is not None:
-            kwargs["backend"] = backend
-        profiler.profile_many(TEMPLATES, SAMPLES, **kwargs)
+        for template in TEMPLATES:
+            profiler.profile(template, SAMPLES)
     return telemetry
 
 
 class TestProfileFingerprintParallel:
     @pytest.fixture(scope="class")
     def serial_fingerprint(self, db):
-        return profile_run(db, workers=1).profiler.fingerprint()
-
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_thread_backend_matches_serial(self, db, workers, serial_fingerprint):
-        telemetry = profile_run(db, workers=workers, backend="thread")
-        assert telemetry.profiler.fingerprint() == serial_fingerprint
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_process_backend_matches_serial(self, db, workers, serial_fingerprint):
-        telemetry = profile_run(db, workers=workers, backend="process")
-        assert telemetry.profiler.fingerprint() == serial_fingerprint
+        return profile_run(db).profiler.fingerprint()
 
     def test_serial_reruns_are_identical(self, db, serial_fingerprint):
-        assert profile_run(db, workers=1).profiler.fingerprint() == (
-            serial_fingerprint
-        )
+        assert profile_run(db).profiler.fingerprint() == serial_fingerprint
 
     def test_fingerprint_counts_expected_queries(self, serial_fingerprint):
         # actual_rows executes every sample once per template.
@@ -79,34 +64,18 @@ class TestProfileFingerprintParallel:
 
 
 class TestEventStreamParallel:
-    """Thread backend shares the explain cache with the serial path, so the
-    full event stream — including cache totals — must match bit-for-bit.
-    (Process workers keep private caches; their cache counters legitimately
-    differ, which is documented behaviour since the fastpath PR.)"""
-
-    def events_for(self, db, workers, backend=None):
+    def events_for(self, db):
         sink = InMemoryCollector()
-        profile_run(db, workers=workers, backend=backend, sink=sink)
+        profile_run(db, sink=sink)
         return event_fingerprint(sink.events)
 
     @pytest.fixture(scope="class")
     def serial_events(self, db):
-        return self.events_for(db, workers=1)
+        return self.events_for(db)
 
     def test_serial_stream_nonempty(self, serial_events):
         names = [e["event"] for e in serial_events]
         assert names.count("template_profiled") == len(TEMPLATES)
-
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_thread_stream_matches_serial(self, db, workers, serial_events):
-        assert self.events_for(db, workers=workers, backend="thread") == (
-            serial_events
-        )
-
-    def test_process_stream_matches_serial(self, db, serial_events):
-        assert self.events_for(db, workers=2, backend="process") == (
-            serial_events
-        )
 
     def test_profiled_events_in_input_order(self, serial_events):
         profiled = [

@@ -151,7 +151,7 @@ class TestOracleWiring:
     def test_dml_epoch_is_a_default_oracle(self):
         names = [oracle.name for oracle in default_oracles()]
         assert "dml_epoch" in names
-        assert len(names) == 6
+        assert len(names) == 5
 
     def test_oracle_skips_selects(self):
         db = build_fuzz_database(0)

@@ -4,9 +4,9 @@ Two contracts under test.  First, statement-level rollback under budgets:
 a budget that trips mid-UPDATE/INSERT/DELETE must leave the target table,
 its statistics epoch, and its mutation counter exactly as they were —
 ``note_mutation`` is the single commit point, and the governor always
-fires before it.  Second, quarantine decision parity: a write template
-that keeps busting its budget is quarantined with the same strikes and
-offending bindings whether it is profiled serially or fanned out.
+fires before it.  Second, write-template quarantine: a write template that
+keeps busting its budget is quarantined, with the same strikes and
+offending bindings on every run, while a healthy one profiles and commits.
 """
 
 import pytest
@@ -196,20 +196,6 @@ class TestWriteTemplateQuarantine:
         assert profile.is_usable
         assert profile.observations
         assert db.catalog.mutation_count("items") == len(profile.observations)
-
-    def test_quarantine_decision_parity_serial_vs_parallel(self):
-        serial = decisions(
-            profiler(build_fuzz_database(0)).profile_many(
-                WRITE_TEMPLATES, workers=1
-            )
-        )
-        fanned = decisions(
-            profiler(build_fuzz_database(0), workers=3).profile_many(
-                WRITE_TEMPLATES, workers=3
-            )
-        )
-        assert serial == fanned
-        assert [d[1] for d in serial] == [False, True]
 
     def test_quarantine_decision_is_repeatable(self):
         first = decisions(

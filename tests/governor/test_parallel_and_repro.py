@@ -1,14 +1,9 @@
-"""The reproducibility bar: a run with quarantined templates is
-bit-identical serial vs fanned-out, and across checkpoint/resume."""
-
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+"""The reproducibility bar: a run with quarantined templates completes,
+and is bit-identical across checkpoint/resume."""
 
 import pytest
 
 from repro.core import BarberConfig, SQLBarber
-from repro.fastpath.parallel import ADMISSION_WINDOW_PER_WORKER, _bounded_map
 from repro.llm import SimulatedLLM
 from repro.obs import Telemetry
 from repro.resilience import InjectedCrash
@@ -41,84 +36,6 @@ def run(barber, planted_templates, rows_distribution, **kwargs):
     )
 
 
-class TestBoundedMap:
-    def test_results_in_input_order(self):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = _bounded_map(pool, lambda x: x * x, list(range(20)), 4)
-        assert results == [x * x for x in range(20)]
-
-    def test_in_flight_never_exceeds_limit(self):
-        lock = threading.Lock()
-        state = {"now": 0, "peak": 0}
-
-        def tracked(x):
-            with lock:
-                state["now"] += 1
-                state["peak"] = max(state["peak"], state["now"])
-            time.sleep(0.005)
-            with lock:
-                state["now"] -= 1
-            return x
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = _bounded_map(pool, tracked, list(range(30)), 3)
-        assert results == list(range(30))
-        assert state["peak"] <= 3
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            if x == 5:
-                raise RuntimeError("item 5")
-            return x
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(RuntimeError, match="item 5"):
-                _bounded_map(pool, boom, list(range(10)), 2)
-
-    def test_admission_window_is_bounded(self):
-        assert ADMISSION_WINDOW_PER_WORKER >= 1
-
-
-class TestSerialParallelIdentity:
-    def test_quarantined_run_identical_across_backends(
-        self, gov_db, planted_templates, rows_distribution
-    ):
-        serial = run(
-            governed_barber(gov_db, workers=1),
-            planted_templates, rows_distribution,
-        )
-        fanned = run(
-            governed_barber(gov_db, workers=3, parallel_backend="thread"),
-            planted_templates, rows_distribution,
-        )
-        assert serial.quarantined  # the planted runaway was benched
-        assert any(
-            q.template_id == "runaway" for q in serial.quarantined
-        )
-        assert serial.fingerprint_json() == fanned.fingerprint_json()
-        assert [q.to_dict() for q in serial.quarantined] == [
-            q.to_dict() for q in fanned.quarantined
-        ]
-        assert serial.complete and fanned.complete
-
-    def test_watchdog_armed_run_still_completes(
-        self, gov_db, planted_templates, rows_distribution
-    ):
-        # A generous watchdog must never fire on a healthy run; this pins
-        # the arming/disarming plumbing through the parallel profiler.
-        result = run(
-            governed_barber(
-                gov_db, workers=2, watchdog_timeout_seconds=30.0
-            ),
-            planted_templates, rows_distribution,
-        )
-        assert result.complete
-        totals = result.telemetry.metrics.total(
-            "governor.watchdog_cancellations"
-        )
-        assert totals == 0
-
-
 class TestCheckpointResume:
     def test_quarantine_survives_kill_and_resume(
         self, gov_db, planted_templates, rows_distribution, tmp_path
@@ -127,7 +44,9 @@ class TestCheckpointResume:
             governed_barber(gov_db),
             planted_templates, rows_distribution,
         )
-        assert control.quarantined
+        assert control.quarantined  # the planted runaway was benched
+        assert any(q.template_id == "runaway" for q in control.quarantined)
+        assert control.complete
 
         fired = {"saves": 0}
 

@@ -99,12 +99,12 @@ class TestConfigValidation:
             ({"query_timeout_seconds": 0.0}, "query_timeout_seconds"),
             ({"memory_budget_mb": -1.0}, "memory_budget_mb"),
             ({"row_budget": 0}, "row_budget"),
-            ({"watchdog_timeout_seconds": -5}, "watchdog_timeout_seconds"),
+            ({"max_cost_dollars": 0.0}, "max_cost_dollars"),
             ({"quarantine_after": 0}, "quarantine_after"),
             ({"governor_cost_per_row_seconds": -1e-6}, "cost_per_row"),
             ({"governor_clock": "sundial"}, "governor_clock"),
-            ({"workers": 0}, "workers"),
-            ({"parallel_backend": "carrier-pigeon"}, "parallel_backend"),
+            ({"workload_mix": (1.0, 0.0, 0.0)}, "workload_mix"),
+            ({"workload_mix": (0.5, -0.5, 0.5, 0.5)}, "workload_mix"),
             ({"checkpoint_every_templates": 0}, "checkpoint_every_templates"),
             ({"max_tokens": -10}, "max_tokens"),
             ({"time_budget_seconds": 0}, "time_budget_seconds"),

@@ -16,6 +16,7 @@ from repro.resilience import (
     to_jsonable,
 )
 from repro.resilience.checkpoint import (
+    _EXECUTION_ONLY_CONFIG_FIELDS,
     restore_usage,
     template_from_state,
     template_to_state,
@@ -105,6 +106,15 @@ class TestStateRoundtrips:
 
 
 class TestRunKey:
+    #: A valid non-default value for every execution-only config field.
+    EXECUTION_ONLY_VALUES = {
+        "max_tokens": 5000,
+        "max_cost_dollars": 1.0,
+        "checkpoint_every_templates": 99,
+        "time_budget_seconds": 30.0,
+        "profile": True,
+    }
+
     def _key(self, config):
         from repro.workload import CostDistribution, TemplateSpec
 
@@ -115,12 +125,23 @@ class TestRunKey:
     def test_execution_only_fields_do_not_change_the_key(self):
         from repro.core import BarberConfig
 
-        base = self._key(BarberConfig(seed=1))
-        topped_up = self._key(
-            BarberConfig(seed=1, max_tokens=5000, max_cost_dollars=1.0)
-        )
-        recadenced = self._key(BarberConfig(seed=1, checkpoint_every_templates=99))
-        assert base == topped_up == recadenced
+        values = self.EXECUTION_ONLY_VALUES
+        assert set(values) == _EXECUTION_ONLY_CONFIG_FIELDS
+        default = BarberConfig(seed=1)
+        base = self._key(default)
+        for name, value in values.items():
+            assert getattr(default, name) != value, name
+            assert self._key(BarberConfig(seed=1, **{name: value})) == base, name
+        assert self._key(BarberConfig(seed=1, **values)) == base
+
+    def test_execution_only_fields_are_config_fields(self):
+        # A stale name in the set would silently exclude nothing.
+        from dataclasses import fields
+
+        from repro.core import BarberConfig
+
+        names = {f.name for f in fields(BarberConfig)}
+        assert _EXECUTION_ONLY_CONFIG_FIELDS <= names
 
     def test_seed_and_content_fields_do_change_the_key(self):
         from repro.core import BarberConfig

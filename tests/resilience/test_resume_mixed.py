@@ -18,12 +18,11 @@ SEED = 5
 MIX = (0.5, 0.2, 0.2, 0.1)
 
 
-def run_mixed(db, specs, distribution, mix=MIX, workers=1, **kwargs):
+def run_mixed(db, specs, distribution, mix=MIX, **kwargs):
     config = BarberConfig(
         seed=SEED,
         checkpoint_every_templates=1,
         workload_mix=mix,
-        workers=workers,
     )
     barber = SQLBarber(db, llm=SimulatedLLM(seed=SEED), config=config)
     return barber.generate_workload(
@@ -47,13 +46,6 @@ class TestMixedResume:
         second = run_mixed(chaos_db, tiny_specs, tiny_distribution)
         assert first.fingerprint_json() == second.fingerprint_json()
         assert dml_count(first) > 0
-
-    def test_serial_vs_parallel_fingerprints_match(
-        self, chaos_db, tiny_specs, tiny_distribution
-    ):
-        serial = run_mixed(chaos_db, tiny_specs, tiny_distribution, workers=1)
-        fanned = run_mixed(chaos_db, tiny_specs, tiny_distribution, workers=3)
-        assert serial.fingerprint_json() == fanned.fingerprint_json()
 
     @pytest.mark.parametrize("kill_at", [1, 3, 5, 8, 11])
     def test_resume_after_kill_matches_uninterrupted_mixed_run(

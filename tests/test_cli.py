@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,43 @@ class TestCommands:
             "--shape", "redset_cost", "--time-budget", "60",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--intervals", "0"],
+            ["--shape", "redset_cost", "--intervals", "0"],
+            ["--queries", "-3"],
+            ["--cost-min", "100", "--cost-max", "10"],
+            ["--shape", "bogus"],
+            ["--quarantine-after", "0"],
+            ["--row-budget", "0"],
+            ["--max-tokens", "-5"],
+            ["--query-timeout", "0"],
+            ["--workload-mix", "1,2"],
+        ],
+        ids=[
+            "zero-intervals", "fleet-zero-intervals", "negative-queries",
+            "inverted-cost-range", "unknown-shape", "zero-quarantine-after",
+            "zero-row-budget", "negative-max-tokens", "zero-query-timeout",
+            "malformed-workload-mix",
+        ],
+    )
+    def test_generate_rejects_invalid_inputs(self, capsys, bad):
+        try:
+            code = main(["generate", *bad])
+        except SystemExit as exc:  # argparse rejects an unknown --shape
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        # argparse names the subcommand: "repro generate: error: ...".
+        errors = [
+            line for line in captured.err.splitlines()
+            if re.match(r"repro( generate)?: error:", line)
+        ]
+        assert len(errors) == 1, captured.err
 
     def test_run_benchmark_json_output(self, capsys):
         code = main([

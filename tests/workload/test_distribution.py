@@ -34,6 +34,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CostDistribution(10, 10, (1,))
 
+    @pytest.mark.parametrize("num_intervals", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: CostDistribution.uniform(0, 100, 10, n),
+            lambda n: CostDistribution.normal(0, 100, 10, n),
+            lambda n: CostDistribution.from_samples([1.0, 50.0], 0, 100, 10, n),
+        ],
+        ids=["uniform", "normal", "from_samples"],
+    )
+    def test_no_intervals_rejected(self, build, num_intervals):
+        with pytest.raises(ValueError, match="at least one interval is required"):
+            build(num_intervals)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CostDistribution(0, 10, (1, -1))
