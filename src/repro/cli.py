@@ -37,6 +37,7 @@ import sys
 from repro.benchsuite import (
     ExperimentRunner,
     METHODS,
+    TABLE1_BENCHMARKS,
     benchmark_by_name,
     histogram_text,
     table1_overview,
@@ -373,8 +374,25 @@ def _load_specs(args) -> list[TemplateSpec]:
     for index, text in enumerate(args.spec):
         specs.append(TemplateSpec.from_natural_language(text, spec_id=f"cli_{index}"))
     if args.specs_file:
-        with open(args.specs_file) as handle:
-            payload = json.load(handle)
+        try:
+            with open(args.specs_file) as handle:
+                payload = json.load(handle)
+        except OSError as exc:
+            raise ValueError(
+                f"--specs-file: cannot read {args.specs_file!r}: "
+                f"{exc.strerror or exc}"
+            ) from None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(
+                f"--specs-file: {args.specs_file!r} is not JSON: {exc}"
+            ) from None
+        if not isinstance(payload, list) or not all(
+            isinstance(entry, dict) for entry in payload
+        ):
+            raise ValueError(
+                f"--specs-file: {args.specs_file!r} must hold a JSON list of "
+                "spec objects"
+            )
         for index, entry in enumerate(payload):
             specs.append(
                 TemplateSpec.from_json(entry, spec_id=f"file_{index}")
@@ -453,13 +471,13 @@ def cmd_generate(args) -> int:
             profile=args.profile,
             workload_mix=_workload_mix(args.workload_mix),
         )
+        specs = _load_specs(args)
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     db = build_database(args.db, scale=args.scale)
     if args.no_explain_cache:
         db.set_explain_cache(False)
-    specs = _load_specs(args)
     logger.info("target distribution:\n%s", histogram_text(distribution))
     barber = SQLBarber(
         db, config=config, sinks=_telemetry_sinks(args.trace_out)
@@ -536,8 +554,20 @@ def cmd_benchmarks(_args) -> int:
 
 
 def cmd_run_benchmark(args) -> int:
-    """`repro run-benchmark`: one method on one benchmark, JSON metrics."""
-    benchmark = benchmark_by_name(args.name)
+    """`repro run-benchmark`: one method on one benchmark, JSON metrics.
+
+    An unknown ``--name`` exits 2 with one ``repro: error:`` line naming
+    the valid benchmarks.
+    """
+    try:
+        benchmark = benchmark_by_name(args.name)
+    except KeyError:
+        names = ", ".join(b.name for b in TABLE1_BENCHMARKS)
+        print(
+            f"repro: error: unknown benchmark {args.name!r}; choose from {names}",
+            file=sys.stderr,
+        )
+        return 2
     distribution = benchmark.distribution(num_queries=args.queries)
     runner = ExperimentRunner(seed=args.seed)
     run = runner.run(

@@ -27,7 +27,15 @@ import repro.obs.profile as _obs_profile
 
 from . import ast_nodes as ast
 from .errors import ConstraintError, ExecutionError
-from .expr_eval import EvalContext, Params, SubqueryValue, Vec, evaluate, truthy
+from .expr_eval import (
+    EvalContext,
+    Params,
+    SubqueryValue,
+    Vec,
+    _text_values,
+    evaluate,
+    truthy,
+)
 from .catalog import Catalog
 from .plan_nodes import (
     AggregateNode,
@@ -269,34 +277,15 @@ class Executor:
     def _run_hash_join(self, node: HashJoinNode, params: Params) -> _Frame:
         left = self._run(node.left, params)
         right = self._run(node.right, params)
-        left_codes, left_valid = _join_key_codes(
-            node.left_keys, left, right, params, prefer=left
+        left_codes, left_valid = _join_key_codes(node.left_keys, left, params)
+        right_codes, right_valid = _join_key_codes(node.right_keys, right, params)
+        li, ri = _hash_join_pairs(
+            left_codes,
+            left_valid,
+            right_codes,
+            right_valid,
+            _governor_context.current_governor(),
         )
-        right_codes, right_valid = _join_key_codes(
-            node.right_keys, left, right, params, prefer=right
-        )
-        # Build hash table on the right side.
-        governor = _governor_context.current_governor()
-        table: dict[object, list[int]] = {}
-        for i in np.flatnonzero(right_valid):
-            table.setdefault(right_codes[i], []).append(int(i))
-        left_idx: list[int] = []
-        right_idx: list[int] = []
-        for i in np.flatnonzero(left_valid):
-            bucket = table.get(left_codes[i])
-            if not bucket:
-                continue
-            before = len(left_idx)
-            left_idx.extend([int(i)] * len(bucket))
-            right_idx.extend(bucket)
-            if governor is not None:
-                # A skewed key can explode the output quadratically: admit
-                # the growth at every 8,192nd pair, however many pairs one
-                # key contributes.
-                for pairs in range((before | 0x1FFF) + 1, len(left_idx) + 1, 0x2000):
-                    governor.admit(pairs, 0, "HashJoinNode")
-        li = np.array(left_idx, dtype=np.int64)
-        ri = np.array(right_idx, dtype=np.int64)
         joined = _combine_frames(left.take(li), right.take(ri))
         if node.residual is not None:
             keep = truthy(
@@ -787,31 +776,86 @@ def _row_bytes(frame: _Frame) -> int:
 
 
 def _join_key_codes(
-    keys: list[ast.Expression],
-    left: _Frame,
-    right: _Frame,
-    params: Params,
-    prefer: _Frame,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate join keys on *prefer* and hash them to comparable tuples."""
-    context = prefer.context(params)
+    keys: list[ast.Expression], frame: _Frame, params: Params
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Evaluate one side's join keys over *frame*.
+
+    Returns one comparable array per key -- TEXT keys as their ``str()``
+    values (object dtype), every other type as float64 -- and the rows
+    whose keys are all non-NULL.
+    """
+    context = frame.context(params)
     vecs = [evaluate(k, context) for k in keys]
-    valid = np.ones(prefer.row_count, dtype=bool)
+    valid = np.ones(frame.row_count, dtype=bool)
     for vec in vecs:
         if vec.mask is not None:
             valid &= ~vec.mask
-    normalized = []
-    for vec in vecs:
-        if vec.sql_type is SqlType.TEXT:
-            normalized.append(np.array([str(v) for v in vec.data], dtype=object))
-        else:
-            normalized.append(vec.data.astype(np.float64))
-    if len(normalized) == 1:
-        codes = normalized[0]
-    else:
-        codes = np.array(list(zip(*normalized)), dtype=object)
-        codes = np.array([tuple(row) for row in codes], dtype=object)
+    codes = [
+        _text_values(vec.data)
+        if vec.sql_type is SqlType.TEXT
+        else vec.data.astype(np.float64)
+        for vec in vecs
+    ]
     return codes, valid
+
+
+def _hash_join_pairs(
+    left_codes: list[np.ndarray],
+    left_valid: np.ndarray,
+    right_codes: list[np.ndarray],
+    right_valid: np.ndarray,
+    governor=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The equi-join's matching ``(left row, right row)`` pairs.
+
+    Keys match as a hash table of Python values would match them: float64
+    keys by ``==`` (NaN matches nothing, -0.0 matches 0.0), TEXT keys by
+    string equality, a TEXT key never equals a non-TEXT one, a row with a
+    NULL key matches nothing, and a composite key matches when every
+    column does.  Pairs come in left-row order, each left row's matches in
+    right-row order: the join's output order.
+
+    Both sides' valid rows are factorized jointly into dense key ids; the
+    right rows, stably sorted by id, give each left row its run of matches
+    by binary search.  Before the pair arrays are allocated, *governor*
+    admits the growth at every 8,192nd pair, so a skewed key that would
+    explode the output is refused first.
+    """
+    left_valid, right_valid = left_valid.copy(), right_valid.copy()
+    for lk, rk in zip(left_codes, right_codes):
+        if (lk.dtype == object) != (rk.dtype == object):
+            left_valid[:] = right_valid[:] = False  # TEXT never equals non-TEXT
+        elif lk.dtype != object:
+            left_valid &= ~np.isnan(lk)
+            right_valid &= ~np.isnan(rk)
+    left_rows = np.flatnonzero(left_valid)
+    right_rows = np.flatnonzero(right_valid)
+    if not len(left_rows) or not len(right_rows):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    keys = [
+        Vec(
+            np.concatenate([lk[left_rows], rk[right_rows]]),
+            None,
+            SqlType.TEXT if lk.dtype == object else SqlType.DOUBLE,
+        )
+        for lk, rk in zip(left_codes, right_codes)
+    ]
+    ids, _ = _factorize_many(keys, len(left_rows) + len(right_rows))
+    left_ids, right_ids = ids[: len(left_rows)], ids[len(left_rows) :]
+    order = np.argsort(right_ids, kind="stable")
+    sorted_ids = right_ids[order]
+    starts = np.searchsorted(sorted_ids, left_ids, side="left")
+    counts = np.searchsorted(sorted_ids, left_ids, side="right") - starts
+    total = int(counts.sum())
+    if governor is not None:
+        for pairs in range(0x2000, total + 1, 0x2000):
+            governor.admit(pairs, 0, "HashJoinNode")
+    # Pair k of left row i is sorted right row starts[i] + k.
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    ri = right_rows[order][np.repeat(starts, counts) + offsets]
+    li = np.repeat(left_rows, counts)
+    return li.astype(np.int64, copy=False), ri.astype(np.int64, copy=False)
 
 
 def _combine_frames(left: _Frame, right: _Frame) -> _Frame:
@@ -904,7 +948,7 @@ def _concat_columns(name: str, columns: list[Column]) -> Column:
     for column in columns:
         data = column.data
         if out_type is SqlType.TEXT and data.dtype != object:
-            data = np.array([str(v) for v in data], dtype=object)
+            data = _text_values(data)
         elif out_type is SqlType.DOUBLE and data.dtype != np.float64:
             data = data.astype(np.float64)
         pieces.append(data)
@@ -933,8 +977,7 @@ def _null_array(proto: Column, count: int) -> np.ndarray:
 def _factorize(vec: Vec) -> np.ndarray:
     """Dense integer codes for *vec* values; NULL gets its own code."""
     if vec.sql_type is SqlType.TEXT or vec.data.dtype == object:
-        values = np.array([str(v) for v in vec.data], dtype=object)
-        _, codes = np.unique(values, return_inverse=True)
+        _, codes = np.unique(_text_values(vec.data), return_inverse=True)
     else:
         _, codes = np.unique(vec.data, return_inverse=True)
     codes = codes.astype(np.int64) + 1
@@ -947,11 +990,14 @@ def _factorize_many(vecs: list[Vec], row_count: int) -> tuple[np.ndarray, int]:
     """Combine per-key codes into dense group ids; returns (codes, #groups)."""
     if row_count == 0:
         return np.zeros(0, dtype=np.int64), 0
-    combined = np.zeros(row_count, dtype=np.int64)
+    dense = None
     for vec in vecs:
         codes = _factorize(vec)
-        combined = combined * (int(codes.max()) + 1) + codes
-    _, dense = np.unique(combined, return_inverse=True)
+        if dense is not None:
+            # Re-densify after each key: the ids stay below the row count,
+            # so the next product cannot overflow int64.
+            codes = dense * (int(codes.max()) + 1) + codes
+        _, dense = np.unique(codes, return_inverse=True)
     return dense.astype(np.int64), int(dense.max()) + 1
 
 
@@ -991,19 +1037,20 @@ def _compute_aggregate(
     if name == "count":
         counts = np.bincount(codes[valid], minlength=num_groups)
         return Vec(counts.astype(np.int64), None, SqlType.BIGINT)
-    if arg.sql_type is SqlType.TEXT:
-        # MIN/MAX over text: per-group python reduction.
-        out = np.full(num_groups, None, dtype=object)
-        for group in range(num_groups):
-            members = (codes == group) & valid
-            if members.any():
-                strings = [str(v) for v in arg.data[members]]
-                out[group] = min(strings) if name == "min" else max(strings)
-        mask = np.array([v is None for v in out], dtype=bool)
-        return Vec(out, mask if mask.any() else None, SqlType.TEXT)
-    values = arg.data.astype(np.float64)
     group_counts = np.bincount(codes[valid], minlength=num_groups)
     empty = group_counts == 0
+    reducer = np.minimum if name == "min" else np.maximum
+    if arg.sql_type is SqlType.TEXT:
+        # MIN/MAX over text: reduce each group's ranks among the sorted
+        # distinct strings, then map the winning ranks back to the strings.
+        strings, ranks = np.unique(
+            _text_values(arg.data[valid]), return_inverse=True
+        )
+        best = _reduce_groups(codes[valid], ranks, num_groups, reducer)
+        out = np.full(num_groups, None, dtype=object)
+        out[~empty] = strings[best[~empty]]
+        return Vec(out, empty if empty.any() else None, SqlType.TEXT)
+    values = arg.data.astype(np.float64)
     if name in ("sum", "avg"):
         # bincount returns int64 (not the weights' dtype) when the input is
         # empty; a DOUBLE sum column must stay float64 even with no rows.
@@ -1018,24 +1065,27 @@ def _compute_aggregate(
             sums, np.maximum(group_counts, 1), where=~empty, out=np.zeros(num_groups)
         )
         return Vec(means, empty if empty.any() else None, SqlType.DOUBLE)
-    # min / max via sort + reduceat on valid rows
-    result = np.zeros(num_groups, dtype=np.float64)
-    if valid.any():
-        sub_codes = codes[valid]
-        sub_values = values[valid]
-        order = np.argsort(sub_codes, kind="stable")
-        sorted_codes = sub_codes[order]
-        sorted_values = sub_values[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
-        )
-        reducer = np.minimum if name == "min" else np.maximum
-        reduced = reducer.reduceat(sorted_values, starts)
-        result[sorted_codes[starts]] = reduced
+    result = _reduce_groups(codes[valid], values[valid], num_groups, reducer)
     out_type = arg.sql_type if arg.sql_type.is_numeric or arg.sql_type is SqlType.DATE else SqlType.DOUBLE
     if out_type in (SqlType.INTEGER, SqlType.BIGINT, SqlType.DATE):
         result = result.astype(np.int64)
     return Vec(result, empty if empty.any() else None, out_type)
+
+
+def _reduce_groups(
+    codes: np.ndarray, values: np.ndarray, num_groups: int, reducer: np.ufunc
+) -> np.ndarray:
+    """*reducer* (``np.minimum``/``np.maximum``) of *values* per group code,
+    via one sort and ``reduceat``; a group without rows gets 0."""
+    result = np.zeros(num_groups, dtype=values.dtype)
+    if len(codes):
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
+        )
+        result[sorted_codes[starts]] = reducer.reduceat(values[order], starts)
+    return result
 
 
 def _sort_key(vec: Vec, descending: bool) -> np.ndarray:
@@ -1045,8 +1095,7 @@ def _sort_key(vec: Vec, descending: bool) -> np.ndarray:
     out of mapping NULL to +inf and negating for DESC.
     """
     if vec.sql_type is SqlType.TEXT or vec.data.dtype == object:
-        values = np.array([str(v) for v in vec.data], dtype=object)
-        uniques, codes = np.unique(values, return_inverse=True)
+        _, codes = np.unique(_text_values(vec.data), return_inverse=True)
         key = codes.astype(np.float64)
     else:
         key = vec.data.astype(np.float64)

@@ -262,9 +262,9 @@ def _coerce_pair(left: Vec, right: Vec) -> tuple[np.ndarray, np.ndarray, SqlType
     lt, rt = left.sql_type, right.sql_type
     # DATE vs TEXT: parse the text side as ISO dates.
     if lt is SqlType.DATE and rt is SqlType.TEXT:
-        return left.data, _text_to_days(right.data), SqlType.DATE
+        return left.data, _text_to_days(right.data, right.mask), SqlType.DATE
     if rt is SqlType.DATE and lt is SqlType.TEXT:
-        return _text_to_days(left.data), right.data, SqlType.DATE
+        return _text_to_days(left.data, left.mask), right.data, SqlType.DATE
     if lt is SqlType.TEXT or rt is SqlType.TEXT:
         return left.data.astype(object), right.data.astype(object), SqlType.TEXT
     if lt is SqlType.BOOLEAN or rt is SqlType.BOOLEAN:
@@ -278,35 +278,59 @@ def _coerce_pair(left: Vec, right: Vec) -> tuple[np.ndarray, np.ndarray, SqlType
     return left.data.astype(np.int64), right.data.astype(np.int64), SqlType.BIGINT
 
 
-def _text_to_days(values: np.ndarray) -> np.ndarray:
+_STR = np.frompyfunc(str, 1, 1)
+
+
+def _text_values(data: np.ndarray) -> np.ndarray:
+    """``str()`` of every element of *data*, as an object array.
+
+    One numpy call: the engine's one way of turning values into the text
+    that TEXT comparison, grouping, sorting and join keys work on.
+    """
+    return _STR(data)
+
+
+def _text_to_days(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """ISO date text to epoch days, parsing each distinct text once.
+
+    NULL rows (*mask* True) are not parsed; they come out as 0 under the
+    caller's mask.  The first unparsable non-NULL value in row order raises.
+    """
     out = np.zeros(len(values), dtype=np.int64)
-    for i, value in enumerate(values):
+    rows = np.arange(len(values)) if mask is None else np.flatnonzero(~mask)
+    if not len(rows):
+        return out
+    texts, first, inverse = np.unique(
+        _text_values(values[rows]), return_index=True, return_inverse=True
+    )
+    days = np.empty(len(texts), dtype=np.int64)
+    # Parse in order of first appearance, so the first failure is the
+    # first bad row, as a row-by-row parse would report it.
+    for index in np.argsort(first):
         try:
-            out[i] = date_to_days(str(value))
+            days[index] = date_to_days(texts[index])
         except ValueError as exc:
+            value = values[rows[first[index]]]
             raise ExecutionError(f"invalid date literal: {value!r}") from exc
+    out[rows] = days[inverse]
     return out
+
+
+_COMPARISONS = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 def _compare(left: Vec, right: Vec, op: str) -> Vec:
     lv, rv, common = _coerce_pair(left, right)
     if common is SqlType.TEXT:
-        lv = np.array([str(v) for v in lv], dtype=object)
-        rv = np.array([str(v) for v in rv], dtype=object)
-    ops = {
-        "=": lambda a, b: a == b,
-        "<>": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-    if common is SqlType.TEXT:
-        result = np.array(
-            [bool(ops[op](a, b)) for a, b in zip(lv, rv)], dtype=bool
-        )
-    else:
-        result = ops[op](lv, rv)
+        lv, rv = _text_values(lv), _text_values(rv)
+    result = _COMPARISONS[op](lv, rv)
     mask = _combined_mask(left, right)
     if mask is not None:
         result = result & ~mask
@@ -460,8 +484,13 @@ def _evaluate_cast(expression: ast.Cast, context: EvalContext) -> Vec:
         return operand
     if target.is_numeric:
         if operand.sql_type is SqlType.TEXT:
+            # NULL rows stay NULL (and 0 underneath); only values convert.
+            data = np.zeros(len(operand), dtype=np.float64)
+            rows = (
+                slice(None) if operand.mask is None else np.flatnonzero(~operand.mask)
+            )
             try:
-                data = np.array([float(v) for v in operand.data], dtype=np.float64)
+                data[rows] = [float(v) for v in operand.data[rows]]
             except ValueError as exc:
                 raise ExecutionError(f"invalid numeric cast: {exc}") from None
         else:
@@ -474,7 +503,9 @@ def _evaluate_cast(expression: ast.Cast, context: EvalContext) -> Vec:
         return Vec(data, operand.mask, SqlType.TEXT)
     if target is SqlType.DATE:
         if operand.sql_type is SqlType.TEXT:
-            return Vec(_text_to_days(operand.data), operand.mask, SqlType.DATE)
+            return Vec(
+                _text_to_days(operand.data, operand.mask), operand.mask, SqlType.DATE
+            )
         return Vec(operand.data.astype(np.int64), operand.mask, SqlType.DATE)
     if target is SqlType.BOOLEAN:
         return Vec(operand.data.astype(bool), operand.mask, SqlType.BOOLEAN)

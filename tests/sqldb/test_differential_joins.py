@@ -44,13 +44,25 @@ def jdb():
     return db, left_rows, right_rows
 
 
-def reference_inner(left_rows, right_rows, predicate=lambda l, r: True):
+def reference_inner(
+    left_rows, right_rows, predicate=lambda l, r: True, keys=("key",)
+):
+    """The (lid, rid) pairs whose *keys* are all equal and non-NULL."""
     return sorted(
         (l["lid"], r["rid"])
         for l in left_rows
         for r in right_rows
-        if l["key"] == r["key"] and predicate(l, r)
+        if all(l[k] is not None and l[k] == r[k] for k in keys)
+        and predicate(l, r)
     )
+
+
+def reference_left(left_rows, right_rows, keys):
+    """LEFT JOIN: the inner pairs plus (lid, None) for each unmatched lid."""
+    pairs = reference_inner(left_rows, right_rows, keys=keys)
+    matched = {lid for lid, _ in pairs}
+    padded = [(l["lid"], None) for l in left_rows if l["lid"] not in matched]
+    return sorted(pairs + padded, key=repr)
 
 
 class TestInnerJoin:
@@ -104,6 +116,101 @@ class TestInnerJoin:
             key = left_rows[lid]["key"]
             expected[key] = expected.get(key, 0) + 1
         assert got == expected
+
+
+@pytest.fixture(scope="module")
+def kdb():
+    """Two tables joined on two-column keys, each key column with NULLs."""
+    rng = np.random.default_rng(23)
+
+    def side(ids, n):
+        def column(values):
+            picked = [values[i] for i in rng.integers(0, len(values), n)]
+            return [None if rng.random() < 0.12 else v for v in picked]
+
+        return {
+            ids: list(range(n)),
+            "k1": column([0, 1, 2, 3]),
+            "k2": column([10, 20, 30]),
+            "t1": column(["a", "b", "c"]),
+            "t2": column(["x", "yy"]),
+        }
+
+    types = {
+        "k1": SqlType.INTEGER, "k2": SqlType.INTEGER,
+        "t1": SqlType.TEXT, "t2": SqlType.TEXT,
+    }
+    left, right = side("lid", 90), side("rid", 70)
+    db = Database("composite_joins")
+    db.create_table(
+        Table.from_dict("lk", left, {"lid": SqlType.INTEGER, **types}),
+        primary_key=["lid"],
+    )
+    db.create_table(
+        Table.from_dict("rk", right, {"rid": SqlType.INTEGER, **types}),
+        primary_key=["rid"],
+    )
+    left_rows = [dict(zip(left.keys(), row)) for row in zip(*left.values())]
+    right_rows = [dict(zip(right.keys(), row)) for row in zip(*right.values())]
+    return db, left_rows, right_rows
+
+
+KEY_PAIRS = [("k1", "k2"), ("t1", "t2"), ("t1", "k1")]
+KEY_IDS = ["int-int", "text-text", "text-int"]
+
+
+class TestCompositeKeys:
+    """Equi-joins on two key pairs run as one hash join on both keys."""
+
+    @pytest.mark.parametrize("keys", KEY_PAIRS, ids=KEY_IDS)
+    @pytest.mark.parametrize("form", ["on", "where", "comma"])
+    def test_inner_matches_reference(self, kdb, keys, form):
+        db, left_rows, right_rows = kdb
+        a, b = keys
+        sql = {
+            "on": f"SELECT l.lid, r.rid FROM lk l JOIN rk r "
+                  f"ON l.{a} = r.{a} AND l.{b} = r.{b}",
+            "where": f"SELECT l.lid, r.rid FROM lk l JOIN rk r "
+                     f"ON l.{a} = r.{a} WHERE l.{b} = r.{b}",
+            "comma": f"SELECT l.lid, r.rid FROM lk l, rk r "
+                     f"WHERE l.{a} = r.{a} AND l.{b} = r.{b}",
+        }[form]
+        assert "Hash Join" in db.explain(sql).plan_text
+        got = sorted(db.execute(sql).table.rows())
+        expected = reference_inner(left_rows, right_rows, keys=keys)
+        assert expected and got == expected
+
+    @pytest.mark.parametrize("keys", KEY_PAIRS, ids=KEY_IDS)
+    def test_left_matches_reference(self, kdb, keys):
+        db, left_rows, right_rows = kdb
+        a, b = keys
+        sql = (
+            f"SELECT l.lid, r.rid FROM lk l LEFT JOIN rk r "
+            f"ON l.{a} = r.{a} AND l.{b} = r.{b}"
+        )
+        assert "Hash" in db.explain(sql).plan_text
+        got = sorted(db.execute(sql).table.rows(), key=repr)
+        assert got == reference_left(left_rows, right_rows, keys)
+
+    def test_fuzz_database_self_joins(self):
+        db = build_fuzz_database(0)
+        users = db.execute(
+            "SELECT users.user_id, users.age, users.city, users.name FROM users"
+        ).table.rows()
+        users = [dict(zip(("lid", "age", "city", "name"), row)) for row in users]
+        for row in users:
+            row["rid"] = row["lid"]
+        inner = len(reference_inner(users, users, keys=("lid", "age")))
+        left = len(reference_left(users, users, ("city", "name")))
+        for sql, expected in [
+            ("SELECT COUNT(*) FROM users a JOIN users b "
+             "ON a.user_id = b.user_id AND a.age = b.age", inner),
+            ("SELECT COUNT(*) FROM users a JOIN users b "
+             "ON a.user_id = b.user_id WHERE a.age = b.age", inner),
+            ("SELECT COUNT(*) FROM users a LEFT JOIN users b "
+             "ON a.city = b.city AND a.name = b.name", left),
+        ]:
+            assert list(db.execute(sql).table.rows()) == [(expected,)], sql
 
 
 class TestOuterJoins:

@@ -352,3 +352,66 @@ class TestDates:
     def test_date_arithmetic(self, tiny):
         got = rows(tiny, "SELECT hired - 5 FROM emp WHERE id = 1")
         assert got == [(5,)]
+
+
+class TestNullText:
+    """NULL rows of a TEXT value are not converted: NULL in, NULL out."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_db(self):
+        from repro.fuzz import build_fuzz_database
+
+        return build_fuzz_database(0)
+
+    def test_date_compared_with_text_that_has_nulls(self, fuzz_db):
+        via_case = rows(
+            fuzz_db,
+            "SELECT COUNT(*) FROM orders WHERE orders.order_date > "
+            "CASE WHEN orders.amount > 100 THEN '2000-01-01' END",
+        )
+        via_and = rows(
+            fuzz_db,
+            "SELECT COUNT(*) FROM orders WHERE orders.amount > 100 "
+            "AND orders.order_date > '2000-01-01'",
+        )
+        assert via_case == via_and == [(86,)]
+
+    @pytest.mark.parametrize(
+        "text, type_name, value",
+        [("2001-02-03", "DATE", 11356), ("5", "INTEGER", 5)],
+    )
+    def test_cast_keeps_null_rows_null(self, fuzz_db, text, type_name, value):
+        got = rows(
+            fuzz_db,
+            f"SELECT users.age, CAST(CASE WHEN users.age > 30 THEN '{text}' END "
+            f"AS {type_name}) FROM users",
+        )
+        assert any(age is None for age, _ in got)
+        for age, cast in got:
+            assert cast == (value if age is not None and age > 30 else None)
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            (
+                "SELECT COUNT(*) FROM orders WHERE orders.order_date > "
+                "CASE WHEN orders.amount > 100 THEN 'nope' END",
+                "invalid date literal: 'nope'",
+            ),
+            (
+                "SELECT COUNT(*) FROM users WHERE "
+                "CAST(CASE WHEN users.age > 30 THEN 'x' END AS DATE) IS NULL",
+                "invalid date literal: 'x'",
+            ),
+            (
+                "SELECT COUNT(*) FROM users WHERE "
+                "CAST(CASE WHEN users.age > 30 THEN 'x' END AS INTEGER) > 1",
+                "invalid numeric cast: could not convert string to float: 'x'",
+            ),
+        ],
+        ids=["date-compare", "date-cast", "integer-cast"],
+    )
+    def test_bad_text_still_raises(self, fuzz_db, sql, message):
+        with pytest.raises(ExecutionError) as excinfo:
+            fuzz_db.execute(sql)
+        assert str(excinfo.value).splitlines()[0] == message

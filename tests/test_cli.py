@@ -156,9 +156,38 @@ class TestCommands:
         assert payload["method"] == "sqlbarber"
         assert payload["complete"] is True
 
-    def test_run_benchmark_unknown_name(self):
-        with pytest.raises(KeyError):
-            main(["run-benchmark", "--name", "nope"])
+    def test_run_benchmark_unknown_name(self, capsys):
+        assert main(["run-benchmark", "--name", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro: error:")
+        ]
+        assert len(errors) == 1, captured.err
+        assert "unknown benchmark 'nope'" in errors[0]
+        assert "Redset_Cost_Hard" in errors[0]  # the valid names are listed
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json", '{"num_joins": 1}', "[1, 2]"],
+        ids=["missing-file", "not-json", "object-not-list", "list-of-numbers"],
+    )
+    def test_generate_rejects_bad_specs_file(self, capsys, tmp_path, content):
+        path = tmp_path / "specs.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["generate", "--specs-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro: error:")
+        ]
+        assert len(errors) == 1, captured.err
+        assert "--specs-file" in errors[0]
 
 
 class TestFuzz:
