@@ -13,21 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 class RegressionTree:
-    """A CART-style regression tree over a float matrix."""
+    """A CART-style regression tree over a float matrix.
+
+    The fitted tree is five flat arrays indexed by node, in depth-first
+    build order (a node, then its left subtree, then its right): the split
+    ``feature`` (-1 at a leaf), its ``threshold``, the ``left`` and
+    ``right`` child indexes (-1 at a leaf) and the leaf ``value`` (0.0 at an
+    internal node).  ``predict`` moves every row down one level per numpy
+    step with the same ``x <= threshold`` comparison a per-row walk makes.
+    """
 
     def __init__(
         self,
@@ -40,38 +35,62 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self._rng = rng or np.random.default_rng()
-        self._root: _TreeNode | None = None
+        self.feature: np.ndarray | None = None
+        self.threshold: np.ndarray | None = None
+        self.left: np.ndarray | None = None
+        self.right: np.ndarray | None = None
+        self.value: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        self._root = self._build(X, y, depth=0)
+        nodes: list[list] = []  # [feature, threshold, left, right, value]
+        self._build(X, y, 0, nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=np.float64)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self.value is None:
             raise RuntimeError("tree is not fitted")
-        return np.array([self._predict_one(row) for row in X])
+        X = np.asarray(X)
+        nodes = np.zeros(len(X), dtype=np.intp)
+        rows = np.flatnonzero(self.left[nodes] >= 0)  # rows at a split
+        while rows.size:
+            at = nodes[rows]
+            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            nodes[rows] = at
+            rows = rows[self.left[at] >= 0]
+        return self.value[nodes]
 
-    def _predict_one(self, row: np.ndarray) -> float:
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
+    def _build(
+        self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list[list]
+    ) -> int:
+        """Append the subtree fitted to (X, y) to *nodes*; returns its
+        root's index."""
+        node = [-1, 0.0, -1, -1, 0.0]
+        index = len(nodes)
+        nodes.append(node)
         if (
             depth >= self.max_depth
             or len(y) < 2 * self.min_samples_leaf
             or np.ptp(y) < 1e-12
         ):
-            return _TreeNode(value=float(y.mean()))
+            node[4] = float(y.mean())
+            return index
         split = self._best_split(X, y)
         if split is None:
-            return _TreeNode(value=float(y.mean()))
+            node[4] = float(y.mean())
+            return index
         feature, threshold = split
         mask = X[:, feature] <= threshold
-        left = self._build(X[mask], y[mask], depth + 1)
-        right = self._build(X[~mask], y[~mask], depth + 1)
-        return _TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+        node[0], node[1] = feature, threshold
+        node[2] = self._build(X[mask], y[mask], depth + 1, nodes)
+        node[3] = self._build(X[~mask], y[~mask], depth + 1, nodes)
+        return index
 
     def _best_split(
         self, X: np.ndarray, y: np.ndarray
@@ -80,27 +99,30 @@ class RegressionTree:
         n_consider = max(1, int(round(self.max_features * n_features)))
         features = self._rng.permutation(n_features)[:n_consider]
         best: tuple[float, int, float] | None = None
+        low, high = self.min_samples_leaf, n_samples - self.min_samples_leaf + 1
+        last = n_samples - 1
         for feature in features:
             order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
             ys = y[order]
-            # candidate split positions between distinct x values
-            prefix_sum = np.cumsum(ys)
-            prefix_sq = np.cumsum(ys**2)
+            # The scan runs on Python floats: the same IEEE operations as
+            # on numpy scalars, without a numpy scalar per step.
+            xs = X[order, feature].tolist()
+            prefix_sum = np.cumsum(ys).tolist()
+            prefix_sq = np.cumsum(ys**2).tolist()
             total_sum, total_sq = prefix_sum[-1], prefix_sq[-1]
-            for i in range(self.min_samples_leaf, n_samples - self.min_samples_leaf + 1):
-                if xs[i - 1] == xs[min(i, n_samples - 1)]:
+            # candidate split positions between distinct x values
+            for i in range(low, high):
+                below, above = xs[i - 1], xs[min(i, last)]
+                if below == above:
                     continue
-                left_n, right_n = i, n_samples - i
                 left_sum, left_sq = prefix_sum[i - 1], prefix_sq[i - 1]
                 right_sum = total_sum - left_sum
                 right_sq = total_sq - left_sq
-                sse = (left_sq - left_sum**2 / left_n) + (
-                    right_sq - right_sum**2 / right_n
+                sse = (left_sq - left_sum**2 / i) + (
+                    right_sq - right_sum**2 / (n_samples - i)
                 )
                 if best is None or sse < best[0]:
-                    threshold = (xs[i - 1] + xs[min(i, n_samples - 1)]) / 2.0
-                    best = (float(sse), int(feature), float(threshold))
+                    best = (sse, int(feature), (below + above) / 2.0)
         if best is None:
             return None
         return best[1], best[2]

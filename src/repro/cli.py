@@ -369,30 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_specs_file(path: str) -> list[dict]:
+    """The spec objects in the ``--specs-file`` at *path*; a ValueError
+    (exit 2) when it cannot be read, is not JSON or is not a list of
+    objects."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise ValueError(
+            f"--specs-file: cannot read {path!r}: {exc.strerror or exc}"
+        ) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"--specs-file: {path!r} is not JSON: {exc}") from None
+    if not isinstance(payload, list) or not all(
+        isinstance(entry, dict) for entry in payload
+    ):
+        raise ValueError(
+            f"--specs-file: {path!r} must hold a JSON list of spec objects"
+        )
+    return payload
+
+
 def _load_specs(args) -> list[TemplateSpec]:
     specs: list[TemplateSpec] = []
     for index, text in enumerate(args.spec):
         specs.append(TemplateSpec.from_natural_language(text, spec_id=f"cli_{index}"))
     if args.specs_file:
-        try:
-            with open(args.specs_file) as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise ValueError(
-                f"--specs-file: cannot read {args.specs_file!r}: "
-                f"{exc.strerror or exc}"
-            ) from None
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValueError(
-                f"--specs-file: {args.specs_file!r} is not JSON: {exc}"
-            ) from None
-        if not isinstance(payload, list) or not all(
-            isinstance(entry, dict) for entry in payload
-        ):
-            raise ValueError(
-                f"--specs-file: {args.specs_file!r} must hold a JSON list of "
-                "spec objects"
-            )
+        payload = _read_specs_file(args.specs_file)
         for index, entry in enumerate(payload):
             specs.append(
                 TemplateSpec.from_json(entry, spec_id=f"file_{index}")
@@ -769,9 +773,23 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    """`repro submit`: POST one job; JSON response (or final state) on stdout."""
+    """`repro submit`: POST one job; JSON response (or final state) on stdout.
+
+    Exit 0 for an accepted (or, with ``--wait``, completed) job, 1 for a
+    rejected or failed one or an unreachable service, and 2 (one line on
+    stderr, nothing sent) for a ``--specs-file`` that cannot be used.
+    """
     from repro.serve import ServeClient, ServeClientError
 
+    try:
+        specs = (
+            _read_specs_file(args.specs_file)
+            if args.specs_file
+            else [{"num_joins": 1}]
+        )
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "tenant": args.tenant,
         "priority": args.priority,
@@ -780,12 +798,8 @@ def cmd_submit(args) -> int:
         "intervals": args.intervals,
         "cost_min": args.cost_min,
         "cost_max": args.cost_max,
+        "specs": specs,
     }
-    if args.specs_file:
-        with open(args.specs_file) as handle:
-            payload["specs"] = json.load(handle)
-    else:
-        payload["specs"] = [{"num_joins": 1}]
     for key, value in (
         ("deadline_seconds", args.deadline),
         ("max_tokens", args.max_tokens),

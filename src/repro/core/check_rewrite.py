@@ -85,15 +85,24 @@ def check_and_rewrite(
     llm: LLMClient,
     schema: dict,
     config: BarberConfig,
+    verdicts: dict[str, str | None] | None = None,
 ) -> RewriteTrace:
-    """Run Algorithm 1 on one candidate template."""
+    """Run Algorithm 1 on one candidate template.
+
+    Each distinct template text is validated against the database once:
+    its verdict is kept in *verdicts* (a fresh dict when None), so an
+    unchanged text is not re-planned, and a caller that passes its own dict
+    can read the final text's verdict from it.
+    """
+    if verdicts is None:
+        verdicts = {}
     telemetry = current_telemetry()
     trace = RewriteTrace(spec_id=spec.spec_id)
     spec_payload = spec_to_payload(spec)
     current = sql
     for iteration in range(config.max_rewrite_iterations):
         truth_spec_ok, _ = check_template(current, spec)
-        truth_syntax_ok = template_error(current, db, config) is None
+        truth_syntax_ok = template_error(current, db, config, verdicts) is None
         trace.attempts.append(AttemptStatus(truth_spec_ok, truth_syntax_ok))
         telemetry.count("generator.attempts")
 
@@ -107,21 +116,23 @@ def check_and_rewrite(
             telemetry.count("generator.rewrites", phase="semantics")
 
         # Phase 2: executability, judged by the DBMS and fixed by the LLM.
-        error = template_error(current, db, config)
+        error = template_error(current, db, config, verdicts)
         if error is not None:
             current = _llm_fix_execution(
                 current, error, llm, schema, spec_payload, iteration
             )
             trace.rewrites += 1
             telemetry.count("generator.rewrites", phase="execution")
-            error = template_error(current, db, config)
+            error = template_error(current, db, config, verdicts)
 
         if satisfied and error is None:
             break
 
     trace.final_sql = current
     final_spec_ok, _ = check_template(current, spec)
-    trace.final_ok = final_spec_ok and template_error(current, db, config) is None
+    trace.final_ok = (
+        final_spec_ok and template_error(current, db, config, verdicts) is None
+    )
     return trace
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -211,21 +212,19 @@ class TemplateProfiler:
         choices = self._text_choices(info)
         return CategoricalParameter(info.name, tuple(choices))
 
-    def _text_choices(self, info) -> list[str]:
+    def _text_choices(self, info) -> Sequence[str]:
         cap = self.config.max_categorical_choices
-        values: list[str] = []
-        if info.table is not None and self.db.catalog.has_table(info.table):
-            data = self.db.catalog.data(info.table)
-            if data.has_column(info.column):
-                distinct = sorted(
-                    {str(v) for v in data.column(info.column).non_null_values()}
-                )
+        values: Sequence[str] = ()
+        catalog = self.db.catalog
+        if info.table is not None and catalog.has_table(info.table):
+            if catalog.data(info.table).has_column(info.column):
+                distinct = catalog.text_domain(info.table, info.column)
                 if len(distinct) > cap:
                     step = len(distinct) / cap
                     distinct = [distinct[int(i * step)] for i in range(cap)]
                 values = distinct
         if not values:
-            values = ["__missing__"]
+            values = ("__missing__",)
         if info.operator == "like":
             return [f"%{v[: max(len(v) // 2, 1)]}%" for v in values]
         return values

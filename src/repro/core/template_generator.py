@@ -97,10 +97,14 @@ class CustomizedTemplateGenerator:
             )
             response = self.llm.complete(prompt, task="generate_template")
             candidate = extract_sql(response.text)
+            # Verdicts by template text for this spec: nothing changes the
+            # catalog while its template is generated and rewritten.
+            verdicts: dict[str, str | None] = {}
             trace = check_and_rewrite(
-                candidate, spec, self.db, self.llm, self._schema, self.config
+                candidate, spec, self.db, self.llm, self._schema, self.config,
+                verdicts,
             )
-            template = self._finalize(trace.final_sql, spec)
+            template = self._finalize(trace.final_sql, spec, verdicts)
             if telemetry.enabled:
                 span.set(
                     attempts=len(trace.attempts),
@@ -126,9 +130,11 @@ class CustomizedTemplateGenerator:
                 templates.append(template)
         return templates, report
 
-    def _finalize(self, sql: str, spec: TemplateSpec) -> SqlTemplate | None:
+    def _finalize(
+        self, sql: str, spec: TemplateSpec, verdicts: dict[str, str | None]
+    ) -> SqlTemplate | None:
         """Build the SqlTemplate (with placeholder metadata) if executable."""
-        if template_error(sql, self.db, self.config) is not None:
+        if template_error(sql, self.db, self.config, verdicts) is not None:
             return None
         template = SqlTemplate(
             template_id=f"{spec.spec_id}_t",

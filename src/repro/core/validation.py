@@ -47,9 +47,21 @@ def probe_values(
 
 
 def template_error(
-    sql: str, db: Database, config: BarberConfig
+    sql: str,
+    db: Database,
+    config: BarberConfig,
+    memo: dict[str, str | None] | None = None,
 ) -> str | None:
-    """None if the template is executable, else the DBMS error message."""
+    """None if the template is executable, else the DBMS error message.
+
+    *memo* holds verdicts by SQL text: a text already in it is not
+    validated again.  Share one only over a span in which nothing changes
+    the catalog (one template's generate-and-rewrite loop).
+    """
+    if memo is not None:
+        if sql not in memo:
+            memo[sql] = template_error(sql, db, config)
+        return memo[sql]
     template = SqlTemplate(template_id="probe", sql=sql)
     try:
         statement = template.parse()

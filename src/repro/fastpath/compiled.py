@@ -52,9 +52,9 @@ from repro.obs import current as current_telemetry
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.binder import Binder, _literal_type
 from repro.sqldb.database import ExecutionResult
-from repro.sqldb.errors import BindError
+from repro.sqldb.errors import BindError, UnsupportedSqlError
 from repro.sqldb.explain import ExplainResult, explain_plan
-from repro.sqldb.parser import parse_select
+from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import Planner, PlanSkeleton
 from repro.sqldb.types import SqlType, days_to_date
 
@@ -95,6 +95,18 @@ def _numeric_literal(value: int | float) -> ast.Expression:
     if negative:
         return ast.UnaryOp("-", ast.Literal(-value))
     return ast.Literal(value)
+
+
+def _parse_query(sql: str) -> ast.SelectStatement | ast.CompoundSelect:
+    """Parse a template's text through ``parse_sql``, the entry point
+    :meth:`SqlTemplate.parse` uses, so both read one parse-memo entry.
+    Only a SELECT or UNION compiles: another statement raises."""
+    statement = parse_sql(sql)
+    if not isinstance(statement, (ast.SelectStatement, ast.CompoundSelect)):
+        raise UnsupportedSqlError(
+            f"only a SELECT template compiles, not {type(statement).__name__}"
+        )
+    return statement
 
 
 def bound_literal_type(expression: ast.Expression) -> SqlType:
@@ -149,7 +161,7 @@ class CompiledTemplate:
                 catalog = self._db.catalog
                 types = self._placeholder_types
                 bound = Binder(catalog, placeholder_types=types).bind(
-                    parse_select(self._template.sql)
+                    _parse_query(self._template.sql)
                 )
                 skeleton = Planner(catalog, placeholder_types=types).prepare(bound)
                 if skeleton.prints_placeholders:

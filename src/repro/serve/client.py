@@ -92,17 +92,28 @@ class ServeClient:
         timeout_seconds: float = 60.0,
         poll_seconds: float = 0.05,
     ) -> dict:
-        """Poll until *job_id* reaches a terminal state."""
+        """Poll until *job_id* reaches a terminal state.
+
+        Each poll is a long poll (``?wait=``, at most half this client's
+        socket timeout): the service answers the moment the job turns
+        terminal.  Polls start at least *poll_seconds* apart, so a
+        service that answers at once is polled at that pace.
+        """
         from .jobs import JobState
 
         deadline = time.monotonic() + timeout_seconds
         while True:
-            status, body = self.job(job_id)
+            asked = time.monotonic()
+            wait = min(max(deadline - asked, 0.0), self.timeout_seconds / 2)
+            status, body, _headers = self.request(
+                "GET", f"/v1/jobs/{job_id}?wait={wait:.3f}"
+            )
             if status == 200 and body.get("state") in JobState.TERMINAL:
                 return body
-            if time.monotonic() >= deadline:
+            answered = time.monotonic()
+            if answered >= deadline:
                 raise ServeClientError(
                     f"job {job_id} still {body.get('state')!r} after "
                     f"{timeout_seconds}s"
                 )
-            time.sleep(poll_seconds)
+            time.sleep(max(poll_seconds - (answered - asked), 0.0))

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,6 +154,10 @@ class ServeCore:
         self.store = store
         #: Machine-readable recovery report (None unless built by recover()).
         self.recovery: dict | None = None
+        #: Called as ``f(job_id)`` after every live transition of a job,
+        #: with the lock held, so it must not block.  The HTTP layer
+        #: answers its long polls from it.
+        self.on_job_change: Callable[[str], None] | None = None
         if store is not None:
             store.snapshot_provider = self._snapshot
 
@@ -724,6 +729,9 @@ class ServeCore:
         self._apply(rtype, at, data, replay=False)
         if self.store is not None:
             self.store.append(rtype, data, at=at)
+        job_id = data.get("job_id")
+        if job_id is not None and self.on_job_change is not None:
+            self.on_job_change(str(job_id))
 
     def _apply(
         self, rtype: str, at: float, data: dict, replay: bool

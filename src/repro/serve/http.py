@@ -10,12 +10,20 @@ Routes::
     POST /v1/jobs       submit a job        → 202 {job_id} | 400/422/429/503
     GET  /v1/jobs       list jobs           → 200 [ ... ]
     GET  /v1/jobs/<id>  one job             → 200 {...} | 404
+    GET  /v1/jobs/<id>?wait=<s>  long poll  → 200 {...} | 400/404
     GET  /v1/stats      service counters    → 200 {...}
     GET  /healthz       liveness/drain      → 200 {"status": ...}
     POST /v1/drain      begin graceful drain→ 200 {...}
 
 Rejections with a ``retry_after_seconds`` hint carry a ``Retry-After``
 header, so well-behaved clients back off without parsing the body.
+
+A job lookup with ``?wait=<seconds>`` is a long poll: the answer leaves
+the moment the job turns terminal, or once the wait (capped at
+``MAX_WAIT_SECONDS``) runs out, or at shutdown.  A client waiting for a
+result therefore learns of it when it happens, not up to one poll
+interval later.  ``ServeCore.on_job_change`` wakes the waiting requests
+from the worker threads.
 
 Execution happens on a pool of worker *threads* (the pipeline is
 synchronous CPU-bound Python); the asyncio loop never blocks on a job.
@@ -30,13 +38,20 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
+from urllib.parse import parse_qs
 
 from .core import ServeCore
+from .jobs import JobState
 from .runner import DrainRequested, JobRunner
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: a spec pack, not a bulk upload
+#: The longest a ``GET /v1/jobs/<id>?wait=`` long poll holds its answer.
+MAX_WAIT_SECONDS = 30.0
+#: How long shutdown waits for the requests it woke to be answered.
+_STOP_GRACE_SECONDS = 1.0
 _STATUS_TEXT = {
     200: "OK",
     202: "Accepted",
@@ -87,6 +102,11 @@ class ServeServer:
         self._workers: list[threading.Thread] = []
         self._stop = threading.Event()
         self._drain_event = threading.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: The requests inside a long poll, until their answer is sent.
+        self._polls: set[asyncio.Task] = set()
+        #: job id -> one future per long poll waiting for the job to move.
+        self._waiters: dict[str, set[asyncio.Future]] = {}
 
     # -- worker pool -------------------------------------------------------------------
 
@@ -169,7 +189,7 @@ class ServeServer:
                 return
             except ConnectionError:
                 return
-            writer.write(self._route(method, target, body))
+            writer.write(await self._respond(method, target, body))
         except Exception as error:  # the front door never stack-traces
             try:
                 writer.write(
@@ -184,6 +204,74 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._polls.discard(asyncio.current_task())
+
+    async def _respond(self, method: str, target: str, body) -> bytes:
+        """A job lookup with ``?wait=`` waits in :meth:`_settled`; every
+        other request is answered at once by :meth:`_route`."""
+        path, _, query = target.partition("?")
+        wait = parse_qs(query).get("wait")
+        if not (wait and method == "GET" and path.startswith("/v1/jobs/")):
+            return self._route(method, target, body)
+        try:
+            seconds = float(wait[-1])
+        except ValueError:
+            seconds = math.nan
+        if not seconds >= 0.0:  # also refuses NaN
+            return _response(
+                400, {"error": "wait must be a non-negative number of seconds"}
+            )
+        job = await self._settled(
+            path.rsplit("/", 1)[1], min(seconds, MAX_WAIT_SECONDS)
+        )
+        if job is None:
+            return _response(404, {"error": "no such job"})
+        return _response(200, job.to_dict())
+
+    async def _settled(self, job_id: str, seconds: float):
+        """*job_id*'s job once it is terminal, or as it stands when
+        *seconds* run out or the server stops (None if there is no such
+        job)."""
+        loop = asyncio.get_running_loop()
+        self._polls.add(asyncio.current_task())
+        deadline = loop.time() + seconds
+        while True:
+            moved = loop.create_future()
+            waiters = self._waiters.setdefault(job_id, set())
+            waiters.add(moved)
+            try:
+                # Read after registering: a move committed after this
+                # read resolves *moved*.
+                job = self.core.job(job_id)
+                remaining = deadline - loop.time()
+                if (
+                    job is None
+                    or job.state in JobState.TERMINAL
+                    or remaining <= 0.0
+                    or self._stop.is_set()
+                ):
+                    return job
+                try:
+                    await asyncio.wait_for(moved, remaining)
+                except asyncio.TimeoutError:
+                    pass  # the next read answers
+            finally:
+                waiters.discard(moved)
+                if not waiters:
+                    self._waiters.pop(job_id, None)
+
+    def _job_changed(self, job_id: str) -> None:
+        """``ServeCore.on_job_change``: any thread, core lock held."""
+        if job_id in self._waiters and self._loop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._wake, job_id)
+            except RuntimeError:
+                pass  # the loop is closed, so no poll is waiting
+
+    def _wake(self, job_id: str) -> None:
+        for moved in self._waiters.get(job_id, ()):
+            if not moved.done():
+                moved.set_result(None)
 
     def _route(self, method: str, target: str, body) -> bytes:
         target = target.split("?", 1)[0]
@@ -221,6 +309,8 @@ class ServeServer:
     # -- lifecycle ---------------------------------------------------------------------
 
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self.core.on_job_change = self._job_changed
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=self.port
         )
@@ -255,6 +345,11 @@ class ServeServer:
 
     async def stop(self) -> None:
         self._stop.set()
+        # Answer every waiting long poll before the listener goes.
+        for job_id in list(self._waiters):
+            self._wake(job_id)
+        if self._polls:
+            await asyncio.wait(self._polls, timeout=_STOP_GRACE_SECONDS)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -55,6 +55,11 @@ class PhysicalIndex:
         return list(self.entries.get(value, []))
 
 
+def _text_domain_of(column: Column) -> tuple[str, ...]:
+    """The sorted distinct ``str()`` of *column*'s non-NULL values."""
+    return tuple(sorted({str(v) for v in column.non_null_values()}))
+
+
 @dataclass(frozen=True)
 class ForeignKey:
     """A single-column foreign-key constraint."""
@@ -156,6 +161,9 @@ class Catalog:
         # and the lazily-built physical index structures they govern.
         self._mutation_counts: dict[str, int] = {}
         self._physical_indexes: dict[tuple[str, str], PhysicalIndex] = {}
+        # Per-column sorted distinct text values (see text_domain), with
+        # the statistics epoch they were built in: (epoch, {key: domain}).
+        self._text_domains: tuple[int, dict] = (0, {})
 
     @property
     def statistics_epoch(self) -> int:
@@ -291,6 +299,28 @@ class Catalog:
         if value is None:
             return list(index.null_positions)
         return index.lookup(value)
+
+    def text_domain(self, table: str, column: str) -> tuple[str, ...]:
+        """The sorted distinct ``str()`` of the non-NULL values of
+        *table*.*column*.
+
+        Built from the live data on first use and kept until the statistics
+        epoch moves (every DDL, ``note_mutation`` and ``reanalyze`` moves
+        it), so a caller that edits column arrays in place must
+        ``reanalyze`` before the domain follows.  Two threads may both
+        build a missing domain; they build equal tuples.
+        """
+        self.table(table).column(column)
+        epoch = self._statistics_epoch
+        built_in, domains = self._text_domains
+        if built_in != epoch:
+            domains = {}
+            self._text_domains = (epoch, domains)
+        key = (table, column)
+        domain = domains.get(key)
+        if domain is None:
+            domain = domains[key] = _text_domain_of(self.data(table).column(column))
+        return domain
 
     def reanalyze(self, name: str) -> TableMeta:
         """Recompute row count and column statistics of *name* from its data.

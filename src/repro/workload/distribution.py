@@ -98,12 +98,16 @@ class CostDistribution:
         bound, so the metric starts high and decreases toward zero as the
         target fills — matching how the paper plots convergence.
         """
+        return self.wasserstein_of_counts(self.coverage(costs))
+
+    def wasserstein_of_counts(self, achieved: np.ndarray) -> float:
+        """:meth:`wasserstein` of costs whose :meth:`coverage` is *achieved*."""
         target = np.asarray(self.target_counts, dtype=np.float64)
         target_total = target.sum()
         if target_total == 0:
             return 0.0
         target_pmf = target / target_total
-        achieved = self.coverage(costs).astype(np.float64)
+        achieved = np.asarray(achieved, dtype=np.float64)
         achieved_total = achieved.sum()
         if achieved_total == 0:
             achieved_pmf = np.zeros_like(target_pmf)
@@ -235,15 +239,29 @@ class CostDistribution:
 
 @dataclass
 class DistributionTracker:
-    """Mutable view of generation progress against one target distribution."""
+    """Mutable view of generation progress against one target distribution.
+
+    ``add`` keeps a per-interval count vector up to date, so reading the
+    progress costs the same however many costs were kept; every read equals
+    the recount ``target.coverage(costs)`` would give.  Record costs through
+    ``add``/``add_many``: the vector does not see a direct edit of ``costs``.
+    """
 
     target: CostDistribution
     costs: list[float] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._counts = self.target.coverage(self.costs)
+        self._target_counts = np.asarray(self.target.target_counts, dtype=np.int64)
+
     def add(self, cost: float) -> int | None:
         """Record a generated query cost; returns the interval it landed in."""
-        self.costs.append(float(cost))
-        return self.target.interval_of(float(cost))
+        cost = float(cost)
+        self.costs.append(cost)
+        index = self.target.interval_of(cost)
+        if index is not None:
+            self._counts[index] += 1
+        return index
 
     def add_many(self, costs: Iterable[float]) -> None:
         for cost in costs:
@@ -251,16 +269,16 @@ class DistributionTracker:
 
     @property
     def achieved(self) -> np.ndarray:
-        return self.target.coverage(self.costs)
+        return self._counts.copy()
 
     @property
     def deficits(self) -> np.ndarray:
-        return self.target.deficits(self.costs)
+        return np.maximum(self._target_counts - self._counts, 0)
 
     @property
     def wasserstein(self) -> float:
-        return self.target.wasserstein(self.costs)
+        return self.target.wasserstein_of_counts(self._counts)
 
     @property
     def complete(self) -> bool:
-        return self.target.is_satisfied_by(self.costs)
+        return bool((self._counts >= self._target_counts).all())

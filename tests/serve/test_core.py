@@ -249,3 +249,21 @@ class TestAudit:
         assert stats["queue_depth"] == 1
         assert stats["jobs"] == {"queued": 1}
         assert "acme" in stats["tenants"]
+
+
+class TestJobChangeHook:
+    def test_called_after_every_transition_of_a_job(self, core):
+        seen = []
+        # The hook runs with the lock held: it reads the table directly.
+        core.on_job_change = lambda job_id: seen.append(
+            (job_id, core.jobs[job_id].state)
+        )
+        core.submit({"tenant": ""})  # refused: no job moves
+        core.submit(payload())
+        job = core.claim("w")
+        core.finish(job, {"result": {"fingerprint": "f" * 64}})
+        assert seen == [
+            ("job-0001", JobState.QUEUED),
+            ("job-0001", JobState.RUNNING),
+            ("job-0001", JobState.COMPLETED),
+        ]

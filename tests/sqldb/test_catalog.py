@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sqldb import CatalogError, Database, SqlType, Table
+from repro.sqldb import catalog as catalog_module
 from repro.sqldb.catalog import Catalog, ForeignKey, IndexMeta
 
 
@@ -110,3 +111,97 @@ class TestDatabaseFacade:
         db.create_table(orders_table(), primary_key=["oid"])
         db.add_foreign_key("orders", "uid", "users", "id")
         assert len(db.catalog.foreign_keys) == 1
+
+
+class TestTextDomain:
+    """``Catalog.text_domain`` is built once per column per statistics
+    epoch, and always equals a fresh sort of the live column."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        counts: dict[str, int] = {}
+        build = catalog_module._text_domain_of
+
+        def counting(column):
+            counts[column.name] = counts.get(column.name, 0) + 1
+            return build(column)
+
+        monkeypatch.setattr(catalog_module, "_text_domain_of", counting)
+        return counts
+
+    @staticmethod
+    def make_db() -> Database:
+        db = Database()
+        db.create_table(
+            Table.from_dict(
+                "people",
+                {
+                    "id": [1, 2, 3, 4, 5],
+                    "name": ["carol", "alice", None, "bob", "alice"],
+                    "city": ["x", "y", "x", None, "z"],
+                },
+                {"id": SqlType.INTEGER, "name": SqlType.TEXT, "city": SqlType.TEXT},
+            ),
+            primary_key=["id"],
+        )
+        return db
+
+    @staticmethod
+    def fresh(db: Database, column: str) -> tuple[str, ...]:
+        values = db.catalog.data("people").column(column).non_null_values()
+        return tuple(sorted({str(v) for v in values}))
+
+    def read_twice(self, db, builds, column="name") -> tuple[str, ...]:
+        """Two reads: equal to a fresh sort, and built at most once."""
+        before = builds.get(column, 0)
+        first = db.catalog.text_domain("people", column)
+        second = db.catalog.text_domain("people", column)
+        assert second is first
+        assert first == self.fresh(db, column)
+        assert builds.get(column, 0) - before <= 1
+        return first
+
+    def test_sorted_distinct_non_null_values(self, builds):
+        db = self.make_db()
+        assert db.catalog.text_domain("people", "name") == ("alice", "bob", "carol")
+        assert db.catalog.text_domain("people", "city") == ("x", "y", "z")
+        assert db.catalog.text_domain("people", "name") == ("alice", "bob", "carol")
+        assert builds == {"name": 1, "city": 1}
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(CatalogError):
+            self.make_db().catalog.text_domain("people", "nope")
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "INSERT INTO people (id, name, city) VALUES (6, 'dave', 'w')",
+            "UPDATE people SET name = 'erin' WHERE people.id = 1",
+            "DELETE FROM people WHERE people.name = 'bob'",
+        ],
+        ids=["insert", "update", "delete"],
+    )
+    def test_follows_dml(self, builds, statement):
+        db = self.make_db()
+        before = self.read_twice(db, builds)
+        db.execute(statement)
+        after = self.read_twice(db, builds)
+        assert after != before
+        assert builds["name"] == 2  # once per epoch
+
+    def test_follows_reanalyze_after_in_place_edit(self, builds):
+        db = self.make_db()
+        before = self.read_twice(db, builds)
+        db.catalog.data("people").column("name").data[0] = "zed"
+        # Until the edit is published, the epoch's domain stands.
+        assert db.catalog.text_domain("people", "name") is before
+        db.analyze("people")
+        assert "zed" in self.read_twice(db, builds)
+        assert builds["name"] == 2
+
+    def test_follows_register_table(self, builds):
+        db = self.make_db()
+        before = self.read_twice(db, builds)
+        db.create_table(orders_table())
+        assert self.read_twice(db, builds) == before
+        assert builds["name"] == 2

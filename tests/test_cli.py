@@ -189,6 +189,41 @@ class TestCommands:
         assert len(errors) == 1, captured.err
         assert "--specs-file" in errors[0]
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (None, "cannot read"),
+            ("not json", "is not JSON"),
+            ('{"num_joins": 1}', "must hold a JSON list of spec objects"),
+            ("[1, 2]", "must hold a JSON list of spec objects"),
+        ],
+        ids=["missing-file", "not-json", "object-not-list", "list-of-numbers"],
+    )
+    def test_submit_rejects_bad_specs_file(
+        self, capsys, tmp_path, monkeypatch, content, message
+    ):
+        import repro.serve
+
+        class NoClient:
+            def __init__(self, url):
+                raise AssertionError("a request was about to be sent")
+
+        monkeypatch.setattr(repro.serve, "ServeClient", NoClient)
+        path = tmp_path / "specs.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["submit", "--specs-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro: error:")
+        ]
+        assert len(errors) == 1, captured.err
+        assert errors[0].startswith("repro: error: --specs-file:")
+        assert message in errors[0]
+
 
 class TestFuzz:
     def test_fuzz_reports_json_and_exits_zero(self, capsys):

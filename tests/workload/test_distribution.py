@@ -160,6 +160,57 @@ class TestTracker:
         assert tracker.wasserstein == pytest.approx(0.0)
 
 
+def tracker_costs(rng: np.random.Generator, dist: CostDistribution) -> list[float]:
+    """Costs inside, below and above the range, on every boundary and at
+    ``upper`` itself."""
+    boundaries = [float(b) for b in dist.boundaries]
+    pool = boundaries + [dist.upper, dist.lower - 1.0, dist.upper + 1e-9]
+    costs = []
+    for _ in range(int(rng.integers(1, 60))):
+        roll = rng.random()
+        if roll < 0.3:
+            costs.append(pool[int(rng.integers(0, len(pool)))])
+        elif roll < 0.4:
+            costs.append(float(rng.uniform(dist.lower - 50, dist.upper + 50)))
+        else:
+            costs.append(float(rng.uniform(dist.lower, dist.upper)))
+    return costs
+
+
+class TestTrackerCounts:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reads_equal_a_recount_after_every_add(self, seed):
+        rng = np.random.default_rng(seed)
+        lower = float(rng.uniform(-100, 100))
+        upper = lower + float(rng.uniform(0.5, 1000))
+        counts = tuple(int(c) for c in rng.integers(0, 4, int(rng.integers(1, 21))))
+        dist = CostDistribution(lower, upper, counts)
+        tracker = DistributionTracker(dist)
+        kept: list[float] = []
+        for cost in tracker_costs(rng, dist):
+            landed = tracker.add(cost)
+            kept.append(cost)
+            assert landed == dist.interval_of(cost)
+            assert tracker.costs == kept
+            recount = dist.coverage(kept)
+            achieved = tracker.achieved
+            assert achieved.dtype == recount.dtype
+            assert np.array_equal(achieved, recount)
+            assert np.array_equal(tracker.deficits, dist.deficits(kept))
+            assert tracker.wasserstein == dist.wasserstein(kept)
+            assert tracker.complete == dist.is_satisfied_by(kept)
+            achieved[:] += 7  # a copy: the tracker must not see this
+            assert np.array_equal(tracker.achieved, recount)
+
+    def test_initial_costs_are_counted(self):
+        dist = CostDistribution(0, 10, (1, 2))
+        tracker = DistributionTracker(dist, costs=[1.0, 6.0, 10.0, 11.0])
+        assert tracker.achieved.tolist() == [1, 2]
+        assert tracker.complete
+        tracker.add(3.0)
+        assert tracker.achieved.tolist() == [2, 2]
+
+
 class TestWorkloadContainer:
     def test_jsonl_roundtrip(self):
         workload = Workload(name="w")
