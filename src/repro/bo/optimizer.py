@@ -99,7 +99,14 @@ class BayesianOptimizer:
     # -- ask / tell ---------------------------------------------------------------
 
     def ask(self) -> Config:
-        """Propose the next configuration to evaluate."""
+        """Propose the next configuration to evaluate.
+
+        The candidates stay unit points until one is chosen: the random ones
+        are one ``(n_candidates, d)`` draw (the same doubles, in the same
+        order, as one ``random(d)`` draw per candidate), the surrogate scores
+        their :meth:`ConfigSpace.snap` as one array, and only the best
+        becomes a configuration.
+        """
         if self._initial_queue:
             return self._initial_queue.pop()
         if len(self._observations) < 2:
@@ -107,27 +114,28 @@ class BayesianOptimizer:
         if self._rng.random() < self.exploration_fraction:
             return self.space.sample(self._rng)
         self._refit_if_needed()
-        candidates = self.space.sample_many(self.n_candidates, self._rng)
-        candidates.extend(self._local_candidates())
-        X = np.stack([self.space.to_unit(c) for c in candidates])
-        mean, std = self._surrogate.predict(X)
-        best_value = self.best.value if self.best else 0.0
-        scores = expected_improvement(mean, std, best_value)
-        return candidates[int(np.argmax(scores))]
+        points = np.vstack(
+            [
+                self._rng.random((self.n_candidates, len(self.space))),
+                *self._local_candidates(),
+            ]
+        )
+        mean, std = self._surrogate.predict(self.space.snap(points))
+        scores = expected_improvement(mean, std, self.best.value)
+        return self.space.from_unit(points[int(np.argmax(scores))])
 
-    def _local_candidates(self, per_incumbent: int = 20) -> list[Config]:
+    def _local_candidates(self, per_incumbent: int = 20) -> list[np.ndarray]:
         """Gaussian perturbations of the best observations (SMAC-style local
         search), which lets EI refine around the incumbent instead of relying
-        on global random candidates alone."""
+        on global random candidates alone: blocks of unit points."""
         ranked = sorted(self._observations, key=lambda o: o.value)[:3]
-        locals_: list[Config] = []
+        blocks: list[np.ndarray] = []
         for observation in ranked:
             center = self.space.to_unit(observation.config)
             for scale in (0.02, 0.1):
                 noise = self._rng.normal(0.0, scale, (per_incumbent // 2, len(center)))
-                for point in np.clip(center + noise, 0.0, 1.0):
-                    locals_.append(self.space.from_unit(point))
-        return locals_
+                blocks.append(np.clip(center + noise, 0.0, 1.0))
+        return blocks
 
     def tell(self, config: Config, value: float) -> None:
         """Report an evaluated configuration."""

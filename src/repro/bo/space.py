@@ -29,6 +29,14 @@ class Parameter:
     def from_unit(self, unit: float):
         raise NotImplementedError
 
+    def snap(self, units: np.ndarray) -> np.ndarray:
+        """``to_unit(from_unit(u))`` for each *u* of a 1-D array: the unit
+        point of the value each *u* stands for.  The kinds compute it as one
+        array expression; this default maps the scalar pair."""
+        return np.array(
+            [self.to_unit(self.from_unit(u)) for u in units], dtype=np.float64
+        )
+
     def cardinality(self) -> float:
         """Number of distinct values (math.inf for continuous)."""
         raise NotImplementedError
@@ -62,6 +70,13 @@ class FloatParameter(Parameter):
                 + unit * (math.log(self.high) - math.log(self.low))
             )
         return self.low + unit * (self.high - self.low)
+
+    def snap(self, units: np.ndarray) -> np.ndarray:
+        if self.log:
+            return super().snap(units)
+        span = self.high - self.low
+        values = self.low + np.clip(units, 0.0, 1.0) * span
+        return (values - self.low) / span
 
     def cardinality(self) -> float:
         return math.inf
@@ -100,6 +115,17 @@ class IntegerParameter(Parameter):
             raw = self.low + unit * (self.high - self.low)
         return int(min(max(round(raw), self.low), self.high))
 
+    def snap(self, units: np.ndarray) -> np.ndarray:
+        if self.high == self.low:
+            return np.full(len(units), 0.5)
+        if self.log:
+            return super().snap(units)
+        span = self.high - self.low
+        raw = self.low + np.clip(units, 0.0, 1.0) * span
+        # rint rounds half to even, as round() does.
+        values = np.clip(np.rint(raw), self.low, self.high)
+        return (values - self.low) / span
+
     def cardinality(self) -> float:
         return float(self.high - self.low + 1)
 
@@ -111,6 +137,10 @@ class CategoricalParameter(Parameter):
     def __post_init__(self) -> None:
         if not self.choices:
             raise ValueError(f"{self.name}: choices cannot be empty")
+        # Per position, the index ``to_unit`` gives its choice: the first
+        # of equal choices, as ``choices.index`` finds it.
+        first = np.array([self.choices.index(c) for c in self.choices])
+        object.__setattr__(self, "_first_index", first)
 
     def to_unit(self, value) -> float:
         index = self.choices.index(value)
@@ -119,6 +149,11 @@ class CategoricalParameter(Parameter):
     def from_unit(self, unit: float):
         unit = min(max(float(unit), 0.0), 1.0 - 1e-12)
         return self.choices[int(unit * len(self.choices))]
+
+    def snap(self, units: np.ndarray) -> np.ndarray:
+        count = len(self.choices)
+        positions = (np.clip(units, 0.0, 1.0 - 1e-12) * count).astype(np.intp)
+        return (self._first_index[positions] + 0.5) / count
 
     def cardinality(self) -> float:
         return float(len(self.choices))
@@ -167,6 +202,15 @@ class ConfigSpace:
         return {
             p.name: p.from_unit(u) for p, u in zip(self.parameters, point)
         }
+
+    def snap(self, points: np.ndarray) -> np.ndarray:
+        """``to_unit(from_unit(point))`` for each row of an ``(n, d)`` array
+        of unit points, computed column by column: the unit points of the
+        configurations the rows stand for, as the surrogate sees them."""
+        snapped = np.empty((len(points), len(self.parameters)), dtype=np.float64)
+        for column, parameter in enumerate(self.parameters):
+            snapped[:, column] = parameter.snap(points[:, column])
+        return snapped
 
     # -- sampling -------------------------------------------------------------------
 

@@ -92,16 +92,25 @@ def check_and_rewrite(
     Each distinct template text is validated against the database once:
     its verdict is kept in *verdicts* (a fresh dict when None), so an
     unchanged text is not re-planned, and a caller that passes its own dict
-    can read the final text's verdict from it.
+    can read the final text's verdict from it.  Each distinct text is also
+    checked against *spec* once: ``check_template`` reads no catalog, so
+    its verdict on a text holds for the whole call.
     """
     if verdicts is None:
         verdicts = {}
+    spec_verdicts: dict[str, bool] = {}
+
+    def spec_ok(text: str) -> bool:
+        if text not in spec_verdicts:
+            spec_verdicts[text] = check_template(text, spec)[0]
+        return spec_verdicts[text]
+
     telemetry = current_telemetry()
     trace = RewriteTrace(spec_id=spec.spec_id)
     spec_payload = spec_to_payload(spec)
     current = sql
     for iteration in range(config.max_rewrite_iterations):
-        truth_spec_ok, _ = check_template(current, spec)
+        truth_spec_ok = spec_ok(current)
         truth_syntax_ok = template_error(current, db, config, verdicts) is None
         trace.attempts.append(AttemptStatus(truth_spec_ok, truth_syntax_ok))
         telemetry.count("generator.attempts")
@@ -129,9 +138,8 @@ def check_and_rewrite(
             break
 
     trace.final_sql = current
-    final_spec_ok, _ = check_template(current, spec)
     trace.final_ok = (
-        final_spec_ok and template_error(current, db, config, verdicts) is None
+        spec_ok(current) and template_error(current, db, config, verdicts) is None
     )
     return trace
 

@@ -237,7 +237,9 @@ class TemplateProfiler:
         The built-in metrics go through the template's compiled fast path
         (:class:`~repro.fastpath.compiled.CompiledTemplate`), which parses,
         binds and prepares the template once: ``plan_cost`` and
-        ``cardinality`` re-cost each binding with ``explain``, and
+        ``cardinality`` cost each binding with ``estimate``, which reads the
+        estimated rows and total cost off the binding's plan without
+        rendering an EXPLAIN or touching the EXPLAIN cache, and
         ``actual_rows`` and ``measured_time`` run each binding's prepared
         plan with ``execute``.  Both equal the cold ``db.explain`` /
         ``db.execute`` of the instantiated SQL, which a template that does
@@ -263,12 +265,17 @@ class TemplateProfiler:
         executes = self.cost_metric in ("actual_rows", "measured_time")
         compiled = self._compiled_for(template)
         try:
-            if compiled is not None:
-                run = compiled.execute if executes else compiled.explain
-                result = run(values)
+            if executes:
+                result = (
+                    compiled.execute(values)
+                    if compiled is not None
+                    else self.db.execute(template.instantiate(values))
+                )
+            elif compiled is not None:
+                rows, cost = compiled.estimate(values)
             else:
-                sql = template.instantiate(values)
-                result = self.db.execute(sql) if executes else self.db.explain(sql)
+                result = self.db.explain(template.instantiate(values))
+                rows, cost = result.estimated_rows, result.total_cost
         except (ResourceExceeded, TransientStorageError):
             raise
         except (KeyError, SqlError):
@@ -282,8 +289,8 @@ class TemplateProfiler:
         if self.cost_metric == "measured_time":
             return result.elapsed_seconds
         if self.cost_metric == "cardinality":
-            return float(result.estimated_rows)
-        return float(result.total_cost)
+            return float(rows)
+        return float(cost)
 
     def _compiled_for(self, template: SqlTemplate):
         """The template's compiled fast path, or None when it cannot compile

@@ -6,7 +6,8 @@ Two pieces, composable but independent:
   keyed by normalized SQL, invalidated by the catalog's statistics epoch;
 * :class:`CompiledTemplate` — parse, bind, and prepare a template's plan
   skeleton once, then run only the planner's costing pass per literal
-  binding, to EXPLAIN it or to execute its plan.
+  binding, to estimate its rows and cost, to EXPLAIN it or to execute its
+  plan.
 
 Exports resolve lazily (PEP 562): :mod:`repro.sqldb.database` imports the
 cache module at import time, while :mod:`~repro.fastpath.compiled` imports

@@ -10,19 +10,23 @@ costing is recomputable work.
 text once, binds it in the binder's *template mode* (placeholders bind to
 the type their rendered literal will have), and prepares a
 :class:`~repro.sqldb.planner.PlanSkeleton` from it — the planner's
-literal-independent phase.  Re-costing a binding then renders the SQL for
-the cache key and, on a miss, runs only the planner's costing pass over the
-binding's literals: no lexing, parsing, name resolution, or conjunct
-partitioning on the hot path.  Executing a binding (the execution-costed
-metrics) is the EXECUTE half of a prepared statement: the same costing pass
-builds the binding's plan, which carries the binding's literals for the
-executor, and ``Database.execute`` runs it.
+literal-independent phase.  A binding then costs one run of the planner's
+costing pass over its literals: no lexing, parsing, name resolution, or
+conjunct partitioning on the hot path.  :meth:`CompiledTemplate.estimate`
+reads the binding's estimated rows and total cost straight off that plan —
+the two numbers the loops use — without rendering SQL, an EXPLAIN-cache
+key or a plan text.  :meth:`CompiledTemplate.explain` returns the whole
+EXPLAIN through the database's cache.  Executing a binding (the
+execution-costed metrics) is the EXECUTE half of a prepared statement: the
+same costing pass builds the binding's plan, which carries the binding's
+literals for the executor, and ``Database.execute`` runs it.
 
 Correctness contract (enforced by ``tests/fastpath``, the skeleton tests
 in ``tests/sqldb`` and the ``compiled_template`` fuzz oracle): the
 :class:`ExplainResult` is byte-identical to
 ``database.explain(template.instantiate(values))``, ``plan_text``
-included, and an execution returns the table (or raises the error) of
+included, an estimate is that result's ``(estimated_rows, total_cost)``,
+and an execution returns the table (or raises the error) of
 ``database.execute(template.instantiate(values))``.  Cold planning is the
 same skeleton costed with no placeholders, so this holds by construction
 wherever a placeholder costs and evaluates exactly like the literal it
@@ -55,6 +59,7 @@ from repro.sqldb.database import ExecutionResult
 from repro.sqldb.errors import BindError, UnsupportedSqlError
 from repro.sqldb.explain import ExplainResult, explain_plan
 from repro.sqldb.parser import parse_sql
+from repro.sqldb.plan_nodes import Plan
 from repro.sqldb.planner import Planner, PlanSkeleton
 from repro.sqldb.types import SqlType, days_to_date
 
@@ -169,6 +174,31 @@ class CompiledTemplate:
                 self._state = (epoch, skeleton)
             return self._state[1]
 
+    def estimate(self, values: Mapping[str, object]) -> tuple[float, float]:
+        """The binding's ``(estimated_rows, total_cost)``: the two numbers of
+        ``explain(values)`` that the cost-targeted loops read.
+
+        Equal to them, and raising the same exception class and message for
+        every binding (a missing placeholder's :class:`KeyError` in
+        declaration order, a non-finite DOUBLE's deferred
+        :class:`BindError`, a cold plan's error), without the per-binding
+        EXPLAIN work: a warm binding instantiates no SQL, normalizes no
+        cache key, reads or stores no cache entry and renders no plan
+        text.  A cold binding plans its instantiated SQL with
+        ``Database.plan``.  Each call counts as one computed estimate in
+        ``sqldb.explain.calls``/``.seconds`` (a :class:`SqlError` also in
+        ``.errors``), and a warm one in ``fastpath.compiled.replayed``.
+        """
+        return self._db._record_explain(lambda: self._estimate(values))
+
+    def _estimate(self, values: Mapping[str, object]) -> tuple[float, float]:
+        plan = self._skeleton_plan(values)
+        if plan is None:
+            plan = self._db.plan(self._template.instantiate(values))
+        else:
+            current_telemetry().count("fastpath.compiled.replayed")
+        return plan.est_rows, plan.total_cost
+
     def explain(self, values: Mapping[str, object]) -> ExplainResult:
         """EXPLAIN the template instantiated with *values*.
 
@@ -178,44 +208,32 @@ class CompiledTemplate:
         """
         sql = self._template.instantiate(values)
         return self._db.explain_estimates(
-            sql, compute=lambda: self._recost(sql, values)
+            sql, compute=lambda: self._recost(values, sql)
         )
 
     def explain_many(self, bindings) -> list[ExplainResult]:
         """EXPLAIN the template under every binding in *bindings*.
 
         Equivalent to ``[self.explain(values) for values in bindings]`` —
-        same results, same errors, same telemetry counters, same cache
-        interaction — and counted as one batched re-costing pass.  With the
-        EXPLAIN cache disabled there is no cache state to maintain, so the
-        batch also skips the per-call SQL rendering and cache dispatch and
-        runs the skeleton's costing pass directly; with it enabled every
-        binding goes through the normal cache-aware path (hits and stored
-        entries must match).
+        same results, same errors, the same telemetry counters for every
+        binding that instantiates, same cache interaction — and counted as
+        one batched re-costing pass.  With the EXPLAIN cache disabled there
+        is no cache state to maintain, so the batch also skips the per-call
+        SQL rendering and cache dispatch of a warm binding; with it enabled
+        every binding goes through the normal cache-aware path (hits and
+        stored entries must match).
         """
         bindings = list(bindings)
         telemetry = current_telemetry()
         telemetry.count("fastpath.compiled.batches")
         telemetry.count("fastpath.compiled.batched_explains", len(bindings))
         db = self._db
-        skeleton = self._skeleton()
-        if skeleton is None or db.explain_cache_enabled:
+        if db.explain_cache_enabled:
             return [self.explain(values) for values in bindings]
-        results: list[ExplainResult] = []
-        for values in bindings:
-            literals = self._literals(values)
-            if literals is None:
-                # Rare re-plan-cold binding: take the full per-call path.
-                results.append(self.explain(values))
-                continue
-            results.append(
-                db._record_explain(
-                    lambda l=literals: explain_plan(skeleton.plan(l))
-                )
-            )
-            telemetry.count("fastpath.compiled.explains")
-            telemetry.count("fastpath.compiled.replayed")
-        return results
+        return [
+            db._record_explain(lambda v=values: self._recost(v))
+            for values in bindings
+        ]
 
     def execute(self, values: Mapping[str, object]) -> ExecutionResult:
         """Execute the template instantiated with *values*: the EXECUTE half
@@ -225,19 +243,31 @@ class CompiledTemplate:
         ``database.execute(template.instantiate(values))``, governed the same
         way, minus the lex/parse/bind/plan work: the binding's plan comes
         from the skeleton's costing pass and carries the binding's literals
-        for the executor.  A binding the type guard rejects, and every
-        binding of a template whose GROUP BY or ORDER BY holds a
-        placeholder, runs its instantiated SQL cold.
+        for the executor.  A cold binding (see :meth:`_skeleton_plan`) runs
+        its instantiated SQL cold.
         """
         sql = self._template.instantiate(values)
         try:
-            literals = self._literals(values)
+            plan = self._skeleton_plan(values)
         except BindError:
-            literals = None  # the cold path raises it, positioned and counted
+            plan = None  # the cold path raises it, positioned and counted
+        return self._db.execute(sql, plan=plan)
+
+    def _skeleton_plan(self, values: Mapping[str, object]) -> Plan | None:
+        """The one binding-to-plan decision: the type guard, then the
+        skeleton.
+
+        Returns the plan the skeleton's costing pass builds for *values*,
+        or None when the binding is cold and must plan its instantiated SQL
+        instead: the guard sends it cold (a literal binds to another type
+        than the template was compiled under), or the template's skeleton
+        prints placeholders.  Raises the guard's errors (:meth:`_literals`).
+        """
+        literals = self._literals(values)
         skeleton = self._skeleton() if literals is not None else None
         if skeleton is None:
-            return self._db.execute(sql)
-        return self._db.execute(sql, plan=skeleton.plan(literals))
+            return None
+        return skeleton.plan(literals)
 
     def _literals(
         self, values: Mapping[str, object]
@@ -274,12 +304,17 @@ class CompiledTemplate:
             raise bind_error
         return None if cold else literals
 
-    def _recost(self, sql: str, values: Mapping[str, object]) -> ExplainResult:
-        literals = self._literals(values)
-        skeleton = self._skeleton() if literals is not None else None
-        if skeleton is None:
+    def _recost(
+        self, values: Mapping[str, object], sql: str | None = None
+    ) -> ExplainResult:
+        """EXPLAIN one binding; *sql*, its instantiated text, is rendered
+        here when not given and only if the binding is cold."""
+        plan = self._skeleton_plan(values)
+        if plan is None:
+            if sql is None:
+                sql = self._template.instantiate(values)
             return explain_plan(self._db.plan(sql))
-        result = explain_plan(skeleton.plan(literals))
+        result = explain_plan(plan)
         telemetry = current_telemetry()
         telemetry.count("fastpath.compiled.explains")
         telemetry.count("fastpath.compiled.replayed")

@@ -161,7 +161,10 @@ class Database:
             lambda: self._record_explain(compute),
         )
 
-    def _record_explain(self, compute) -> ExplainResult:
+    def _record_explain(self, compute):
+        """Run *compute*, one computed estimate, under the
+        ``sqldb.explain.*`` counters; returns what it returns (an
+        :class:`ExplainResult`, or a compiled template's estimate pair)."""
         telemetry = current_telemetry()
         if not telemetry.enabled:
             return compute()

@@ -213,3 +213,37 @@ class TestForestExactness:
     def test_unfitted_tree_refuses_to_predict(self):
         with pytest.raises(RuntimeError):
             RegressionTree().predict(np.zeros((1, 1)))
+
+
+def paper_case(seed: int):
+    """A surrogate of the size the paper-scale search fits: 20 trees on 50
+    to 400 observations of 1 to 6 unit-cube features, the targets interval
+    distances with ties at 0."""
+    rng = np.random.default_rng([seed, 400])
+    n = int(rng.integers(50, 401))
+    n_features = int(rng.integers(1, 7))
+    X = rng.random((n, n_features))
+    if seed % 2:
+        X = np.round(X * 40) / 40  # integer and categorical columns repeat
+    y = np.maximum(np.abs(X[:, 0] - 0.4) - 0.1, 0.0) + rng.random(n) * 0.01
+    queries = rng.random((260, n_features))
+    return X, y, queries, dict(n_trees=20, seed=int(rng.integers(0, 2**31)))
+
+
+class TestPaperSizedForests:
+    """Presorted fitting and the all-trees walk on paper-sized forests."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nodes_and_walk_match_the_reference(self, seed):
+        X, y, queries, params = paper_case(seed)
+        forest = RandomForestRegressor(**params).fit(X, y)
+        reference = reference_forest(forest, X, y)
+        for tree, ref in zip(forest._trees, reference, strict=True):
+            assert array_nodes(tree) == reference_nodes(ref)
+        mean, std = forest.predict(queries)
+        per_tree = np.stack([ref.predict(queries) for ref in reference])
+        assert mean.tobytes() == per_tree.mean(axis=0).tobytes()
+        assert std.tobytes() == per_tree.std(axis=0).tobytes()
+        # One tree's predict takes the same walk as the forest's.
+        for tree, ref in zip(forest._trees[:3], reference):
+            assert tree.predict(queries).tobytes() == ref.predict(queries).tobytes()

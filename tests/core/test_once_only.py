@@ -3,6 +3,8 @@
 * One ``Database.validate`` per distinct template text in a
   ``CustomizedTemplateGenerator.generate`` call, with the rewrite trace, the
   template and every LLM call unchanged from validating on every check.
+* One ``check_template`` per distinct template text in a
+  ``check_and_rewrite`` call, with the same outcome as checking every time.
 * One parse per template text: compiling a template reads the parse-memo
   entry ``SqlTemplate.parse`` filled; a DML template stays on the cold path.
 * One text domain per column per statistics epoch, however many templates
@@ -21,6 +23,15 @@ from repro.core import (
     TemplateProfiler,
     template_error,
 )
+from repro.core.check_rewrite import (
+    AttemptStatus,
+    RewriteTrace,
+    _llm_fix_execution,
+    _llm_fix_semantics,
+    _llm_validate,
+    spec_to_payload,
+)
+from repro.obs import current as current_telemetry
 from repro.datasets import build_tpch
 from repro.fastpath.compiled import CompiledTemplate
 from repro.llm import SimulatedLLM
@@ -113,6 +124,98 @@ class TestOneValidationPerText:
         calls.clear()
         every_time = generate_all(small_tpch, seed)
         assert once == every_time
+        assert len(calls) > once_calls
+
+
+def check_and_rewrite_checking_every_time(
+    sql, spec, db, llm, schema, config, verdicts=None
+):
+    """``check_and_rewrite`` as it was before it kept each text's spec
+    verdict: ``check_template`` on every check."""
+    if verdicts is None:
+        verdicts = {}
+    telemetry = current_telemetry()
+    trace = RewriteTrace(spec_id=spec.spec_id)
+    spec_payload = spec_to_payload(spec)
+    current = sql
+    for iteration in range(config.max_rewrite_iterations):
+        truth_spec_ok, _ = check_rewrite_module.check_template(current, spec)
+        truth_syntax_ok = template_error(current, db, config, verdicts) is None
+        trace.attempts.append(AttemptStatus(truth_spec_ok, truth_syntax_ok))
+        telemetry.count("generator.attempts")
+
+        # Phase 1: specification compliance, judged and fixed by the LLM.
+        satisfied, violations = _llm_validate(current, spec, llm, schema, spec_payload)
+        if not satisfied:
+            current = _llm_fix_semantics(
+                current, spec, violations, llm, schema, spec_payload, iteration
+            )
+            trace.rewrites += 1
+            telemetry.count("generator.rewrites", phase="semantics")
+
+        # Phase 2: executability, judged by the DBMS and fixed by the LLM.
+        error = template_error(current, db, config, verdicts)
+        if error is not None:
+            current = _llm_fix_execution(
+                current, error, llm, schema, spec_payload, iteration
+            )
+            trace.rewrites += 1
+            telemetry.count("generator.rewrites", phase="execution")
+            error = template_error(current, db, config, verdicts)
+
+        if satisfied and error is None:
+            break
+
+    trace.final_sql = current
+    final_spec_ok, _ = check_rewrite_module.check_template(current, spec)
+    trace.final_ok = (
+        final_spec_ok and template_error(current, db, config, verdicts) is None
+    )
+    return trace
+
+
+class TestOneSpecCheckPerText:
+    def record_checks(self, monkeypatch) -> list[str]:
+        calls: list[str] = []
+        check = check_rewrite_module.check_template
+
+        def recording(sql, spec):
+            calls.append(sql)
+            return check(sql, spec)
+
+        monkeypatch.setattr(check_rewrite_module, "check_template", recording)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_text_is_checked_once_per_call(
+        self, small_tpch, monkeypatch, seed
+    ):
+        calls = self.record_checks(monkeypatch)
+        generator = CustomizedTemplateGenerator(
+            small_tpch, config=BarberConfig(seed=seed)
+        )
+        for spec in SPECS:
+            calls.clear()
+            generator.generate(spec)  # one check_and_rewrite call
+            assert calls
+            assert len(calls) == len(set(calls)), spec.spec_id
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outcome_equals_checking_every_time(
+        self, small_tpch, monkeypatch, seed
+    ):
+        calls = self.record_checks(monkeypatch)
+        once = generate_all(small_tpch, seed)
+        once_calls = len(calls)
+        monkeypatch.setattr(
+            template_generator_module,
+            "check_and_rewrite",
+            check_and_rewrite_checking_every_time,
+        )
+        calls.clear()
+        every_time = generate_all(small_tpch, seed)
+        assert once == every_time
+        # checking every time re-checks unchanged texts
         assert len(calls) > once_calls
 
 

@@ -21,8 +21,9 @@ from repro.datasets import build_tpch, redset_spec_workload
 from repro.fastpath import normalize_sql
 from repro.fastpath.compiled import literal_expression
 from repro.fuzz.runner import build_fuzz_database
+from repro.obs import Telemetry, use_telemetry
 from repro.sqldb.ast_nodes import Literal, UnaryOp
-from repro.sqldb.errors import SqlSyntaxError
+from repro.sqldb.errors import BindError, SqlSyntaxError
 from repro.sqldb.explain import explain_plan
 from repro.sqldb.lexer import TokenType, tokenize
 from repro.sqldb.types import SqlType
@@ -169,6 +170,129 @@ class TestCompiledDifferential:
                 checked += 1
         assert compiled_count >= len(pool) // 2, "most pool templates should compile"
         assert checked >= 10
+
+
+# Templates whose EXPLAIN prints a placeholder, so every binding plans its
+# instantiated SQL cold: a GROUP BY key and an ORDER BY alias over one.
+PRINTED_PLACEHOLDERS = [
+    SqlTemplate(
+        "diff_group_key",
+        "select l_quantity + {v1}, count(*) from lineitem "
+        "where l_discount < {v2} group by l_quantity + {v1}",
+    ),
+    SqlTemplate(
+        "diff_order_key",
+        "select l_orderkey, l_quantity + {v1} as q from lineitem "
+        "where l_quantity < {v2} order by q",
+    ),
+]
+
+
+def outcome(call):
+    """``call()``'s result, or the class and message of what it raised."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return (type(exc), str(exc))
+
+
+def error_bindings(template, good):
+    """Bindings *explain* rejects or sends cold, derived from *good*."""
+    names = list(good)
+    yield {}  # every placeholder missing: the first one named
+    yield {name: value for name, value in good.items() if name != names[-1]}
+    for name in names:
+        yield {**good, name: float("inf")}  # a DOUBLE literal that is no number
+        yield {**good, name: float("nan")}
+        yield {**good, name: 2**40}  # binds as BIGINT: the type guard sends it cold
+    if len(names) > 1:
+        yield {**good, names[0]: float("nan"), names[-1]: float("-inf")}
+
+
+class TestEstimateDifferential:
+    """``estimate`` against the cold instantiated EXPLAIN: the same two
+    numbers or the same error, no EXPLAIN-cache traffic, and one
+    ``sqldb.explain.calls`` per call."""
+
+    def check(self, db, compiled, template, bindings):
+        telemetry = Telemetry()
+        checked = {"ok": 0, "error": 0}
+        for values in bindings:
+            db.set_explain_cache(False)
+            try:
+                expected = outcome(lambda: compiled.explain(values))
+            finally:
+                db.set_explain_cache(True)
+            if expected[0] == "ok":
+                cold = cold_explain(db, template.instantiate(values))
+                assert expected[1] == cold
+                expected = ("ok", (cold.estimated_rows, cold.total_cost))
+            stats = db.explain_cache.stats()
+            with use_telemetry(telemetry):
+                before = telemetry.metrics.total("sqldb.explain.calls")
+                got = outcome(lambda: compiled.estimate(values))
+                after = telemetry.metrics.total("sqldb.explain.calls")
+            assert got == expected, (template.template_id, values)
+            assert after == before + 1, (template.template_id, values)
+            assert db.explain_cache.stats() == stats
+            checked["ok" if got[0] == "ok" else "error"] += 1
+        return checked
+
+    @pytest.mark.parametrize(
+        "template", CORPUS + PRINTED_PLACEHOLDERS, ids=lambda t: t.template_id
+    )
+    def test_estimate_matches_cold_explain(self, db, profiler, template):
+        compiled = profiler._compiled_for(template)
+        assert compiled is not None, f"{template.template_id} failed to compile"
+        bindings = bindings_for(profiler, template)
+        checked = self.check(db, compiled, template, bindings)
+        assert checked == {"ok": len(bindings), "error": 0}
+
+    @pytest.mark.parametrize(
+        "template", CORPUS + PRINTED_PLACEHOLDERS, ids=lambda t: t.template_id
+    )
+    def test_estimate_raises_what_explain_raises(self, db, profiler, template):
+        compiled = profiler._compiled_for(template)
+        good = bindings_for(profiler, template, count=1)[0]
+        checked = self.check(db, compiled, template, error_bindings(template, good))
+        assert checked["error"] >= 2  # at least the two missing-placeholder cases
+
+    def test_error_kinds_are_covered(self, db, profiler):
+        """The battery above meets each kind of failure it is meant to."""
+        template = CORPUS[2]  # diff_negative: two DOUBLE placeholders
+        compiled = profiler._compiled_for(template)
+        good = bindings_for(profiler, template, count=1)[0]
+        kinds = {
+            outcome(lambda v=values: compiled.estimate(v))[0]
+            for values in error_bindings(template, good)
+        }
+        assert {KeyError, BindError, "ok"} <= kinds
+        eq = CORPUS[0]  # diff_eq: an INTEGER placeholder
+        wide = {"v1": 2**40}  # out of int32: the type guard plans it cold
+        compiled = profiler._compiled_for(eq)
+        assert compiled._skeleton_plan(wide) is None
+        cold = cold_explain(db, eq.instantiate(wide))
+        assert compiled.estimate(wide) == (cold.estimated_rows, cold.total_cost)
+        for template in PRINTED_PLACEHOLDERS:
+            compiled = profiler._compiled_for(template)
+            assert compiled._skeleton() is None
+
+    def test_profiler_costs_through_estimate(self, db):
+        """``plan_cost`` and ``cardinality`` profiling reads no cache."""
+        db.explain_cache.clear()
+        stats = db.explain_cache.stats()
+        for metric in ("plan_cost", "cardinality", "execution_time"):
+            profiler = TemplateProfiler(db, BarberConfig(seed=0), cost_metric=metric)
+            for template in CORPUS:
+                for values in bindings_for(profiler, template, count=3):
+                    cold = cold_explain(db, template.instantiate(values))
+                    expected = (
+                        cold.estimated_rows
+                        if metric == "cardinality"
+                        else cold.total_cost
+                    )
+                    assert profiler.evaluate(template, values) == expected
+        assert db.explain_cache.stats() == stats
 
 
 class TestExplainCacheDifferential:
