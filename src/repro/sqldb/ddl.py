@@ -1,9 +1,9 @@
-"""DDL and DML statements: CREATE TABLE, INSERT INTO, CREATE INDEX.
+"""SQL scripts: CREATE TABLE, CREATE INDEX and INSERT INTO.
 
-The query engine's SELECT grammar lives in :mod:`repro.sqldb.parser`; this
-module adds the statements needed to build a database from a plain SQL
-script, so users can load their own schemas instead of the built-in
-generators::
+The query engine's grammar lives in :mod:`repro.sqldb.parser`; this module
+adds the two statements it lacks, CREATE TABLE and CREATE [UNIQUE] INDEX,
+so users can load their own schemas from a plain SQL script instead of the
+built-in generators::
 
     db = Database("mine")
     run_script(db, '''
@@ -19,20 +19,25 @@ generators::
         INSERT INTO users VALUES (1, 'ann'), (2, 'bob');
     ''')
 
-Statistics are analyzed lazily: tables register un-analyzed while INSERTs
-accumulate rows and :func:`run_script` finalizes each table once the script
-ends (re-registering with statistics).
+A script is tokenized once by the engine's lexer and split at its ``;``
+tokens.  CREATE statements parse with :class:`_DdlParser`, the engine's
+parser plus the DDL grammar; INSERT statements are the engine's own and
+run through :meth:`Database.execute`, so their binding, value coercion,
+constraint checks and errors are the engine's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import ast_nodes as ast
+from .catalog import IndexMeta
 from .database import Database
-from .errors import SqlSyntaxError, UnsupportedSqlError
+from .errors import SqlError, SqlSyntaxError, UnsupportedSqlError
 from .lexer import Token, TokenType, tokenize
-from .storage import Table
-from .types import ColumnType, SqlType, date_to_days, parse_type_name
+from .parser import _Parser, parse_sql
+from .storage import Column, Table
+from .types import ColumnType, SqlType, parse_type_name
 
 
 @dataclass
@@ -58,146 +63,71 @@ class CreateTable:
 
 
 @dataclass
-class Insert:
-    """A parsed INSERT INTO ... VALUES statement."""
-
-    table: str
-    columns: list[str] | None
-    rows: list[list[object]] = field(default_factory=list)
-
-
-@dataclass
 class CreateIndex:
     """A parsed CREATE [UNIQUE] INDEX statement."""
 
+    name: str
     table: str
     column: str
     unique: bool = False
 
 
-Statement = CreateTable | Insert | CreateIndex
+Statement = CreateTable | CreateIndex | ast.InsertStatement
 
 
 def split_statements(script: str) -> list[str]:
-    """Split a SQL script on top-level semicolons (strings respected)."""
-    statements: list[str] = []
-    depth = 0
-    current: list[str] = []
-    in_string = False
-    i = 0
-    while i < len(script):
-        ch = script[i]
-        if in_string:
-            current.append(ch)
-            if ch == "'":
-                if i + 1 < len(script) and script[i + 1] == "'":
-                    current.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch == "'":
-            in_string = True
-            current.append(ch)
-        elif ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            current.append(ch)
-        elif ch == ";" and depth == 0:
-            text = "".join(current).strip()
-            if text:
-                statements.append(text)
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    tail = "".join(current).strip()
-    if tail:
-        statements.append(tail)
+    """The text of each statement of *script*, split at its ``;`` tokens."""
+    return [text for text, _ in _statements(script)]
+
+
+def _statements(script: str) -> list[tuple[str, list[Token]]]:
+    """Each statement of *script* as (text, tokens).
+
+    The tokens are a run of ``tokenize(script)`` between ``;`` tokens,
+    closed by an EOF token at the run's end; runs that hold no token (an
+    empty statement, a trailing comment) are skipped.
+    """
+    tokens = tokenize(script)
+    statements: list[tuple[str, list[Token]]] = []
+    start = 0
+    for end, token in enumerate(tokens):
+        if token.type is TokenType.EOF or (
+            token.type is TokenType.PUNCTUATION and token.value == ";"
+        ):
+            if end > start:
+                text = script[tokens[start].position : token.position].rstrip()
+                run = tokens[start:end] + [Token(TokenType.EOF, "", token.position)]
+                statements.append((text, run))
+            start = end + 1
     return statements
 
 
-class _DdlParser:
-    """A small recursive-descent parser over the shared lexer's tokens."""
-
-    def __init__(self, sql: str):
-        self._tokens = tokenize(sql)
-        self._pos = 0
-
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._current
-        if token.type is not TokenType.EOF:
-            self._pos += 1
-        return token
-
-    def _accept_word(self, *words: str) -> bool:
-        token = self._current
-        if (
-            token.type in (TokenType.KEYWORD, TokenType.IDENTIFIER)
-            and token.value in words
-        ):
-            self._advance()
-            return True
-        return False
-
-    def _expect_word(self, word: str) -> None:
-        if not self._accept_word(word):
-            self._error(f'expected "{word.upper()}"')
+class _DdlParser(_Parser):
+    """The engine's parser plus CREATE TABLE and CREATE [UNIQUE] INDEX."""
 
     def _expect_identifier(self, what: str) -> str:
+        # DDL names may be any word, reserved ones such as count included.
         token = self._current
         if token.type not in (TokenType.IDENTIFIER, TokenType.KEYWORD):
             self._error(f"expected {what}")
-        self._advance()
-        return token.value
+        return self._advance().value
 
-    def _accept_punct(self, value: str) -> bool:
-        token = self._current
-        if token.type is TokenType.PUNCTUATION and token.value == value:
-            self._advance()
-            return True
-        return False
-
-    def _expect_punct(self, value: str) -> None:
-        if not self._accept_punct(value):
-            self._error(f'expected "{value}"')
-
-    def _error(self, message: str) -> None:
-        token = self._current
-        near = token.value or "end of input"
-        raise SqlSyntaxError(
-            f'{message}, at or near "{near}"', position=token.position
-        )
-
-    # -- statements --------------------------------------------------------------
-
-    def parse(self) -> Statement:
-        if self._accept_word("create"):
-            unique = self._accept_word("unique")
-            if self._accept_word("index"):
-                return self._parse_create_index(unique)
-            if unique:
-                self._error("expected INDEX after UNIQUE")
-            self._expect_word("table")
-            return self._parse_create_table()
-        if self._accept_word("insert"):
-            self._expect_word("into")
-            return self._parse_insert()
-        raise UnsupportedSqlError(
-            "only CREATE TABLE / CREATE INDEX / INSERT INTO are supported here"
-        )
+    def parse_create(self) -> CreateTable | CreateIndex:
+        self._expect_keyword("create")
+        unique = self._accept_keyword("unique")
+        if self._accept_keyword("index"):
+            return self._parse_create_index(unique)
+        if unique:
+            self._error("expected INDEX after UNIQUE")
+        self._expect_keyword("table")
+        return self._parse_create_table()
 
     def _parse_create_table(self) -> CreateTable:
         statement = CreateTable(name=self._expect_identifier("table name"))
         self._expect_punct("(")
         while True:
-            if self._accept_word("primary"):
-                self._expect_word("key")
+            if self._accept_keyword("primary"):
+                self._expect_keyword("key")
                 self._expect_punct("(")
                 statement.primary_key.append(
                     self._expect_identifier("primary key column")
@@ -207,17 +137,12 @@ class _DdlParser:
                         self._expect_identifier("primary key column")
                     )
                 self._expect_punct(")")
-            elif self._accept_word("foreign"):
-                self._expect_word("key")
+            elif self._accept_keyword("foreign"):
+                self._expect_keyword("key")
                 self._expect_punct("(")
                 column = self._expect_identifier("foreign key column")
                 self._expect_punct(")")
-                self._expect_word("references")
-                ref_table = self._expect_identifier("referenced table")
-                self._expect_punct("(")
-                ref_column = self._expect_identifier("referenced column")
-                self._expect_punct(")")
-                statement.foreign_keys.append((column, ref_table, ref_column))
+                statement.foreign_keys.append((column, *self._parse_reference()))
             else:
                 statement.columns.append(self._parse_column_def())
             if self._accept_punct(","):
@@ -228,205 +153,139 @@ class _DdlParser:
             if column.primary_key and column.name not in statement.primary_key:
                 statement.primary_key.append(column.name)
             if column.references is not None:
-                statement.foreign_keys.append(
-                    (column.name, column.references[0], column.references[1])
-                )
+                statement.foreign_keys.append((column.name, *column.references))
         return statement
+
+    def _parse_reference(self) -> tuple[str, str]:
+        """``REFERENCES table (column)``."""
+        self._expect_keyword("references")
+        ref_table = self._expect_identifier("referenced table")
+        self._expect_punct("(")
+        ref_column = self._expect_identifier("referenced column")
+        self._expect_punct(")")
+        return ref_table, ref_column
 
     def _parse_column_def(self) -> ColumnDef:
         name = self._expect_identifier("column name")
+        type_token = self._current
         type_words = [self._expect_identifier("type name")]
-        # Multi-word types: "double precision"; skip length suffix "(25)".
-        if type_words[0] == "double" and self._accept_word("precision"):
+        if type_words[0] == "double" and self._accept_keyword("precision"):
             type_words.append("precision")
-        if self._accept_punct("("):
-            while not self._accept_punct(")"):
-                self._advance()
+        if self._accept_punct("("):  # a length suffix: varchar(25), numeric(10, 2)
+            self._parse_nonnegative_int("type modifier")
+            while self._accept_punct(","):
+                self._parse_nonnegative_int("type modifier")
+            self._expect_punct(")")
         try:
             sql_type = parse_type_name(" ".join(type_words))
         except ValueError as exc:
-            raise SqlSyntaxError(str(exc)) from None
+            raise SqlSyntaxError(str(exc), position=type_token.position) from None
         column = ColumnDef(name=name, sql_type=sql_type)
         while True:
-            if self._accept_word("not"):
-                self._expect_word("null")
+            if self._accept_keyword("not"):
+                self._expect_keyword("null")
                 column.not_null = True
-            elif self._accept_word("primary"):
-                self._expect_word("key")
+            elif self._accept_keyword("primary"):
+                self._expect_keyword("key")
                 column.primary_key = True
-            elif self._accept_word("references"):
-                ref_table = self._expect_identifier("referenced table")
-                self._expect_punct("(")
-                ref_column = self._expect_identifier("referenced column")
-                self._expect_punct(")")
-                column.references = (ref_table, ref_column)
-            elif self._accept_word("unique"):
+            elif self._current.matches_keyword("references"):
+                column.references = self._parse_reference()
+            elif self._accept_keyword("unique"):
                 pass  # accepted and ignored (single-column indexes cover it)
             else:
                 return column
 
-    def _parse_insert(self) -> Insert:
-        table = self._expect_identifier("table name")
-        columns: list[str] | None = None
-        if self._accept_punct("("):
-            columns = [self._expect_identifier("column name")]
-            while self._accept_punct(","):
-                columns.append(self._expect_identifier("column name"))
-            self._expect_punct(")")
-        self._expect_word("values")
-        insert = Insert(table=table, columns=columns)
-        while True:
-            self._expect_punct("(")
-            row: list[object] = [self._parse_literal()]
-            while self._accept_punct(","):
-                row.append(self._parse_literal())
-            self._expect_punct(")")
-            insert.rows.append(row)
-            if not self._accept_punct(","):
-                break
-        return insert
-
-    def _parse_literal(self):
-        token = self._current
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            return float(token.value) if "." in token.value else int(token.value)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return token.value
-        if token.matches_keyword("null"):
-            self._advance()
-            return None
-        if token.matches_keyword("true"):
-            self._advance()
-            return True
-        if token.matches_keyword("false"):
-            self._advance()
-            return False
-        if token.type is TokenType.OPERATOR and token.value == "-":
-            self._advance()
-            value = self._parse_literal()
-            if not isinstance(value, (int, float)):
-                self._error("expected a number after '-'")
-            return -value
-        self._error("expected a literal value")
-
     def _parse_create_index(self, unique: bool) -> CreateIndex:
-        self._expect_identifier("index name")  # name accepted, derived anyway
-        self._expect_word("on")
+        name = self._expect_identifier("index name")
+        self._expect_keyword("on")
         table = self._expect_identifier("table name")
         self._expect_punct("(")
         column = self._expect_identifier("column name")
         self._expect_punct(")")
-        return CreateIndex(table=table, column=column, unique=unique)
+        return CreateIndex(name=name, table=table, column=column, unique=unique)
+
+
+def _parse_statement(text: str, tokens: list[Token]) -> Statement:
+    """Parse one statement: its text and its tokens, which end in EOF.
+
+    An INSERT parses with :func:`parse_sql`, whose memo then hands the tree
+    to :meth:`Database.execute` without a second parse while the script
+    holds no more INSERTs than the memo's 64 entries.
+    """
+    first = tokens[0]
+    if first.matches_keyword("insert"):
+        return parse_sql(text)
+    if not first.matches_keyword("create"):
+        raise UnsupportedSqlError(
+            "only CREATE TABLE / CREATE INDEX / INSERT INTO are supported here",
+            position=first.position,
+        )
+    parser = _DdlParser(tokens)
+    statement = parser.parse_create()
+    parser.expect_end()
+    return statement
 
 
 def parse_ddl(sql: str) -> Statement:
     """Parse one CREATE TABLE / CREATE INDEX / INSERT statement."""
-    parser = _DdlParser(sql.strip().rstrip(";"))
-    statement = parser.parse()
-    return statement
+    try:
+        return _parse_statement(sql, tokenize(sql))
+    except SqlError as exc:
+        raise exc.attach_source(sql)
 
 
 def run_script(db: Database, script: str) -> Database:
-    """Execute a DDL/DML script against *db* and analyze the new tables.
+    """Run a script of CREATE TABLE, CREATE INDEX and INSERT statements.
 
-    Rows from all INSERTs into a table are buffered and the table is
-    registered once, with statistics, after the whole script is processed.
+    Every statement is parsed before any runs, so a syntax error (or a
+    CREATE TABLE of a name already taken) registers nothing.  Then, in
+    script order, CREATE TABLE registers an empty table with its NOT NULL
+    columns, primary key and foreign keys, CREATE INDEX registers the index
+    under its own name, and each INSERT runs through
+    :meth:`Database.execute`.  Each table the script created is analyzed
+    once, after the last statement.
     """
-    pending: dict[str, CreateTable] = {}
-    rows: dict[str, list[list[object]]] = {}
-    indexes: list[CreateIndex] = []
-    for text in split_statements(script):
-        statement = parse_ddl(text)
+    try:
+        statements = [
+            (text, _parse_statement(text, tokens))
+            for text, tokens in _statements(script)
+        ]
+    except SqlError as exc:
+        raise exc.attach_source(script)
+    created: list[str] = []
+    for _, statement in statements:
         if isinstance(statement, CreateTable):
-            if statement.name in pending or db.catalog.has_table(statement.name):
+            if statement.name in created or db.catalog.has_table(statement.name):
                 raise SqlSyntaxError(f"table {statement.name!r} already exists")
-            pending[statement.name] = statement
-            rows[statement.name] = []
-        elif isinstance(statement, Insert):
-            if statement.table not in pending:
-                raise SqlSyntaxError(
-                    f"INSERT into unknown table {statement.table!r} "
-                    "(CREATE TABLE must appear in the same script)"
+            created.append(statement.name)
+    for text, statement in statements:
+        if isinstance(statement, CreateTable):
+            _create_table(db, statement)
+        elif isinstance(statement, CreateIndex):
+            db.catalog.add_index(
+                IndexMeta(
+                    statement.name, statement.table, statement.column, statement.unique
                 )
-            definition = pending[statement.table]
-            for row in statement.rows:
-                rows[statement.table].append(
-                    _reorder(row, statement.columns, definition)
-                )
+            )
         else:
-            indexes.append(statement)
-    for name, definition in pending.items():
-        _materialize(db, definition, rows[name])
-    for index in indexes:
-        db.add_index(index.table, index.column, unique=index.unique)
+            db.execute(text)
+    for name in created:
+        db.analyze(name)
     return db
 
 
-def _reorder(
-    row: list[object], columns: list[str] | None, definition: CreateTable
-) -> list[object]:
-    names = [c.name for c in definition.columns]
-    if columns is None:
-        if len(row) != len(names):
-            raise SqlSyntaxError(
-                f"INSERT into {definition.name!r}: expected {len(names)} "
-                f"values, got {len(row)}"
-            )
-        return list(row)
-    if len(row) != len(columns):
-        raise SqlSyntaxError(
-            f"INSERT into {definition.name!r}: {len(columns)} columns "
-            f"but {len(row)} values"
-        )
-    by_name = dict(zip(columns, row))
-    unknown = set(columns) - set(names)
-    if unknown:
-        raise SqlSyntaxError(
-            f"INSERT into {definition.name!r}: unknown columns {sorted(unknown)}"
-        )
-    return [by_name.get(name) for name in names]
-
-
-def _coerce(value, sql_type: SqlType):
-    if value is None:
-        return None
-    if sql_type is SqlType.DATE and isinstance(value, str):
-        return date_to_days(value)
-    if sql_type in (SqlType.INTEGER, SqlType.BIGINT) and isinstance(value, float):
-        return int(value)
-    if sql_type is SqlType.DOUBLE and isinstance(value, int):
-        return float(value)
-    return value
-
-
-def _materialize(db: Database, definition: CreateTable, rows: list[list[object]]):
-    for column in definition.columns:
-        if column.not_null:
-            index = [c.name for c in definition.columns].index(column.name)
-            for row in rows:
-                if row[index] is None:
-                    raise SqlSyntaxError(
-                        f"NULL in NOT NULL column {definition.name}.{column.name}"
-                    )
-    data = {
-        column.name: [
-            _coerce(row[i], column.sql_type) for row in rows
-        ]
-        for i, column in enumerate(definition.columns)
-    }
-    types = {c.name: c.sql_type for c in definition.columns}
-    # Record nullability in the catalog so the DML engine can enforce NOT
-    # NULL at runtime (the load-time check above only covers script rows).
-    column_types = {
-        c.name: ColumnType(c.sql_type, nullable=not c.not_null)
-        for c in definition.columns
-    }
+def _create_table(db: Database, statement: CreateTable) -> None:
+    """Register *statement*'s table, empty, with its constraints."""
     db.create_table(
-        Table.from_dict(definition.name, data, types),
-        primary_key=definition.primary_key or None,
-        column_types=column_types,
+        Table(
+            statement.name,
+            [Column.from_values(c.name, c.sql_type, []) for c in statement.columns],
+        ),
+        primary_key=statement.primary_key or None,
+        column_types={
+            c.name: ColumnType(c.sql_type, nullable=not c.not_null)
+            for c in statement.columns
+        },
     )
-    for column, ref_table, ref_column in definition.foreign_keys:
-        db.add_foreign_key(definition.name, column, ref_table, ref_column)
+    for column, ref_table, ref_column in statement.foreign_keys:
+        db.add_foreign_key(statement.name, column, ref_table, ref_column)

@@ -705,10 +705,11 @@ def _convert_write_value(
 ):
     """Coerce one value into the target column's storage representation.
 
-    Mirrors the DDL loader's coercions (ISO date text -> epoch days, numeric
-    widening/narrowing); a value the column type cannot hold is a
-    :class:`ConstraintError`, the runtime counterpart of the binder's static
-    type check.
+    The engine's one write-value coercion, for INSERT (script loads
+    included: ``run_script`` runs its INSERTs here) and UPDATE: ISO date
+    text -> epoch days, numeric widening/narrowing.  A value the column
+    type cannot hold is a :class:`ConstraintError`, the runtime counterpart
+    of the binder's static type check.
     """
     if value is None:
         return None

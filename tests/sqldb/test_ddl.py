@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sqldb import (
+    BindError,
+    ConstraintError,
     Database,
     SqlSyntaxError,
     SqlType,
@@ -10,7 +12,7 @@ from repro.sqldb import (
     run_script,
     split_statements,
 )
-from repro.sqldb.ddl import CreateIndex, CreateTable, Insert, parse_ddl
+from repro.sqldb.ddl import CreateIndex, CreateTable, parse_ddl
 
 SCRIPT = """
 CREATE TABLE users (
@@ -68,9 +70,12 @@ class TestParse:
         assert statement.columns[0].sql_type is SqlType.TEXT
 
     def test_insert_with_negatives_and_nulls(self):
-        statement = parse_ddl("INSERT INTO t VALUES (-3, NULL, 'x', TRUE)")
-        assert isinstance(statement, Insert)
-        assert statement.rows == [[-3, None, "x", True]]
+        db = run_script(
+            Database(),
+            "CREATE TABLE t (a integer, b integer, c text, d boolean); "
+            "INSERT INTO t VALUES (-3, NULL, 'x', TRUE)",
+        )
+        assert list(db.catalog.data("t").rows()) == [(-3, None, "x", True)]
 
     def test_create_unique_index(self):
         statement = parse_ddl("CREATE UNIQUE INDEX i ON t (a)")
@@ -122,18 +127,18 @@ class TestRunScript:
         assert scripted_db.catalog.index_on("users", "age") is not None
 
     def test_not_null_enforced(self):
-        with pytest.raises(SqlSyntaxError, match="NOT NULL"):
+        with pytest.raises(ConstraintError, match="violates not-null constraint"):
             run_script(
                 Database(),
                 "CREATE TABLE t (a text NOT NULL); INSERT INTO t VALUES (NULL)",
             )
 
     def test_insert_into_unknown_table(self):
-        with pytest.raises(SqlSyntaxError, match="unknown table"):
+        with pytest.raises(BindError, match='relation "ghosts" does not exist'):
             run_script(Database(), "INSERT INTO ghosts VALUES (1)")
 
     def test_column_count_mismatch(self):
-        with pytest.raises(SqlSyntaxError, match="expected 2 values"):
+        with pytest.raises(BindError, match="1 expressions but 2 target columns"):
             run_script(
                 Database(),
                 "CREATE TABLE t (a integer, b integer); "
@@ -157,3 +162,127 @@ class TestRunScript:
         )
         assert report.alignment_accuracy > 0
         assert templates
+
+
+class TestCreateIndexNames:
+    def test_name_is_kept(self):
+        assert parse_ddl("CREATE UNIQUE INDEX i ON t (a)").name == "i"
+
+    def test_index_on_a_foreign_key_column(self):
+        db = run_script(
+            Database(),
+            "CREATE TABLE u (id integer PRIMARY KEY); "
+            "CREATE TABLE o (uid integer REFERENCES u(id)); "
+            "CREATE INDEX o_uid ON o (uid);",
+        )
+        names = [index.name for index in db.catalog.indexes_of("o")]
+        assert names == ["o_uid_idx", "o_uid"]
+
+    def test_two_named_indexes_on_one_column(self):
+        db = run_script(
+            Database(),
+            "CREATE TABLE t (a integer); "
+            "CREATE INDEX t_a_one ON t (a); CREATE UNIQUE INDEX t_a_two ON t (a);",
+        )
+        indexes = db.catalog.indexes_of("t")
+        assert [(i.name, i.column, i.unique) for i in indexes] == [
+            ("t_a_one", "a", False), ("t_a_two", "a", True),
+        ]
+
+
+class TestScriptsRunThroughTheEngine:
+    """Scripts the loader's own splitter, INSERT parser and coercion got
+    wrong: each now splits, parses and loads as the engine does."""
+
+    def test_apostrophe_in_a_line_comment(self):
+        db = run_script(
+            Database(),
+            "CREATE TABLE t (a integer); -- don't\n"
+            "INSERT INTO t VALUES (1); INSERT INTO t VALUES (2);",
+        )
+        assert list(db.catalog.data("t").rows()) == [(1,), (2,)]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "CREATE TABLE t (a integer) garbage here",
+            "INSERT INTO t VALUES (1) WHERE nonsense",
+        ],
+    )
+    def test_trailing_input_rejected(self, sql):
+        with pytest.raises(SqlSyntaxError, match="unexpected trailing input"):
+            parse_ddl(sql)
+
+    @pytest.mark.parametrize("tail", ["-- end", "/* done */"])
+    def test_script_ending_in_a_comment(self, tail):
+        db = run_script(
+            Database(),
+            f"CREATE TABLE t (a integer);\nINSERT INTO t VALUES (1);\n{tail}\n",
+        )
+        assert db.catalog.table("t").row_count == 1
+
+    def test_text_into_an_integer_column(self):
+        with pytest.raises(BindError, match='column "a" is of type integer'):
+            run_script(
+                Database(),
+                "CREATE TABLE t (a integer); INSERT INTO t VALUES ('x')",
+            )
+
+    def test_duplicate_primary_key(self):
+        with pytest.raises(ConstraintError, match=r"duplicate key .*\(1\)"):
+            run_script(
+                Database(),
+                "CREATE TABLE t (a integer PRIMARY KEY); "
+                "INSERT INTO t VALUES (1), (1)",
+            )
+
+    def test_unclosed_type_modifier(self):
+        with pytest.raises(SqlSyntaxError, match='expected "\\)"'):
+            parse_ddl("CREATE TABLE t (s varchar(25")
+
+    def test_syntax_error_positioned_in_the_script(self):
+        with pytest.raises(SqlSyntaxError) as caught:
+            run_script(
+                Database(), "CREATE TABLE t (a integer);\nCREATE TABLE u (b blob);"
+            )
+        assert (caught.value.line, caught.value.column) == (2, 19)
+
+    def test_reserved_names(self):
+        # DDL takes any word as a name; an INSERT quotes reserved ones, as
+        # a SELECT must.
+        db = run_script(
+            Database(),
+            'CREATE TABLE count (order integer, sum text); '
+            'INSERT INTO "count" ("order", "sum") VALUES (1, \'a\');',
+        )
+        assert list(db.catalog.data("count").rows()) == [(1, "a")]
+        with pytest.raises(SqlSyntaxError):
+            run_script(
+                Database(),
+                "CREATE TABLE t (order integer); INSERT INTO t (order) VALUES (1)",
+            )
+
+    def test_insert_into_a_table_held_before_the_script(self, scripted_db):
+        run_script(scripted_db, "INSERT INTO users VALUES (4, 'dee', 41, NULL)")
+        assert scripted_db.catalog.table("users").row_count == 4
+
+    def test_insert_select_and_expressions(self):
+        db = run_script(
+            Database(),
+            "CREATE TABLE t (a integer, b double precision); "
+            "INSERT INTO t VALUES (1 + 2, 10 / 4.0); "
+            "CREATE TABLE u (a integer); INSERT INTO u SELECT a * 2 FROM t;",
+        )
+        assert list(db.catalog.data("t").rows()) == [(3, 2.5)]
+        assert list(db.catalog.data("u").rows()) == [(6,)]
+
+    def test_constraint_error_keeps_the_tables_created_before_it(self):
+        db = Database()
+        with pytest.raises(ConstraintError):
+            run_script(
+                db,
+                "CREATE TABLE t (a integer NOT NULL); INSERT INTO t VALUES (1); "
+                "INSERT INTO t VALUES (NULL); CREATE TABLE u (b integer);",
+            )
+        assert db.catalog.table_names == ["t"]
+        assert db.catalog.table("t").row_count == 1
