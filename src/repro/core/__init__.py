@@ -12,7 +12,7 @@ from .join_paths import (
 from .predicate_search import PredicateSearch, SearchResult, interval_objective
 from .profiler import TemplateProfile, TemplateProfiler, interval_distance
 from .refiner import RefinementResult, TemplateRefiner
-from .schema_summary import schema_payload, schema_text
+from .schema_summary import schema_json, schema_payload, schema_text
 from .template_generator import CustomizedTemplateGenerator, TemplateGenerationReport
 from .validation import probe_values, template_error
 
@@ -39,6 +39,7 @@ __all__ = [
     "path_tables",
     "probe_values",
     "sample_join_path",
+    "schema_json",
     "schema_payload",
     "schema_text",
     "template_error",

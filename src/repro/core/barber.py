@@ -60,7 +60,7 @@ from .config import BarberConfig
 from .predicate_search import PredicateSearch, SearchResult
 from .profiler import TemplateProfile, TemplateProfiler
 from .refiner import RefinementResult, TemplateRefiner
-from .schema_summary import schema_payload
+from .schema_summary import schema_json, schema_payload
 from .template_generator import CustomizedTemplateGenerator, TemplateGenerationReport
 
 # Pipeline stages in execution order; each gets a `stage:<name>` span.
@@ -194,6 +194,7 @@ class SQLBarber:
                 jitter_seed=self.config.seed + 101,
             )
         self.schema = schema_payload(db)
+        self._schema_json = schema_json(db)
         # Telemetry sinks attached to every generate_workload run (a fresh
         # Telemetry is created per run; sinks are closed when it finishes,
         # so file-backed sinks serve exactly one run).
@@ -525,7 +526,7 @@ class SQLBarber:
                     span.set(resumed=True)
                 elif self.config.enable_refinement:
                     refiner = TemplateRefiner(
-                        self.llm, profiler, self.schema, self.config
+                        self.llm, profiler, self._schema_json, self.config
                     )
                     specs_by_id = {s.spec_id: s for s in specs}
                     resume_refine = (

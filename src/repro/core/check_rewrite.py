@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.llm import (
     LLMClient,
+    PayloadJSON,
     extract_json,
     extract_sql,
     fix_execution_prompt,
@@ -83,11 +84,14 @@ def check_and_rewrite(
     spec: TemplateSpec,
     db: Database,
     llm: LLMClient,
-    schema: dict,
+    schema: dict | PayloadJSON,
     config: BarberConfig,
     verdicts: dict[str, str | None] | None = None,
 ) -> RewriteTrace:
     """Run Algorithm 1 on one candidate template.
+
+    *schema* is every prompt payload's ``"schema"`` member: the schema
+    summary, or its JSON text (``schema_json``) when the caller has it.
 
     Each distinct template text is validated against the database once:
     its verdict is kept in *verdicts* (a fresh dict when None), so an
@@ -145,7 +149,11 @@ def check_and_rewrite(
 
 
 def _llm_validate(
-    sql: str, spec: TemplateSpec, llm: LLMClient, schema: dict, spec_payload: dict
+    sql: str,
+    spec: TemplateSpec,
+    llm: LLMClient,
+    schema: dict | PayloadJSON,
+    spec_payload: dict,
 ) -> tuple[bool, list[str]]:
     prompt = validate_semantics_prompt(
         sql,
@@ -173,7 +181,7 @@ def _llm_fix_semantics(
     spec: TemplateSpec,
     violations: list[str],
     llm: LLMClient,
-    schema: dict,
+    schema: dict | PayloadJSON,
     spec_payload: dict,
     iteration: int,
 ) -> str:
@@ -199,7 +207,7 @@ def _llm_fix_execution(
     sql: str,
     error: str,
     llm: LLMClient,
-    schema: dict,
+    schema: dict | PayloadJSON,
     spec_payload: dict,
     iteration: int,
 ) -> str:

@@ -162,9 +162,12 @@ class TemplateProfiler:
         ):
             raise ValueError(f"unknown cost metric {cost_metric!r}")
         self.cost_metric = cost_metric
-        # Compiled fast-path per template id; None marks a template whose
-        # compilation failed, pinning it to the cold path permanently.
-        self._compiled: dict[str, object | None] = {}
+        # Compiled fast paths by (text, placeholders, literal types), as
+        # refinement re-proposes texts (see _compile), and each template
+        # id's entry, so the per-binding lookup hashes no placeholders.
+        # None pins a text that does not compile to the cold path.
+        self._compiled: dict[tuple, object | None] = {}
+        self._compiled_by_id: dict[str, object | None] = {}
 
     def _template_rng(self, template: SqlTemplate) -> np.random.Generator:
         """A private RNG per template, independent of profiling order.
@@ -295,14 +298,25 @@ class TemplateProfiler:
     def _compiled_for(self, template: SqlTemplate):
         """The template's compiled fast path, or None when it cannot compile
         (it then stays on the cold path for the rest of the run)."""
-        key = template.template_id
-        if key not in self._compiled:
-            from repro.fastpath.compiled import CompiledTemplate
+        template_id = template.template_id
+        if template_id not in self._compiled_by_id:
+            self._compiled_by_id[template_id] = self._compile(template)
+        return self._compiled_by_id[template_id]
 
+    def _compile(self, template: SqlTemplate):
+        """One compilation per distinct text, placeholders and literal types:
+        a compiled template reads nothing else of its template, so it costs
+        and executes every binding of each template sharing it alike."""
+        from repro.fastpath.compiled import CompiledTemplate
+
+        try:
+            types = self._placeholder_literal_types(template)
+        except SqlError:  # the text does not parse
+            return None
+        key = (template.sql, tuple(template.placeholders), tuple(types.items()))
+        if key not in self._compiled:
             try:
-                self._compiled[key] = CompiledTemplate(
-                    self.db, template, self._placeholder_literal_types(template)
-                )
+                self._compiled[key] = CompiledTemplate(self.db, template, types)
             except SqlError:
                 self._compiled[key] = None
         return self._compiled[key]

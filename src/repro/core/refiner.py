@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.governor import QuarantineRecord
-from repro.llm import LLMClient, extract_sql, refine_template_prompt
+from repro.llm import LLMClient, PayloadJSON, extract_sql, refine_template_prompt
 from repro.obs import current as current_telemetry
 from repro.workload import CostDistribution, SqlTemplate, TemplateSpec, check_template
 from .config import BarberConfig, RefinementPhase
@@ -42,9 +42,11 @@ class TemplateRefiner:
         self,
         llm: LLMClient,
         profiler: TemplateProfiler,
-        schema: dict,
+        schema: dict | PayloadJSON,
         config: BarberConfig | None = None,
     ):
+        """*schema* is every refinement payload's ``"schema"`` member: the
+        schema summary, or its JSON text (``schema_json``)."""
         self.llm = llm
         self.profiler = profiler
         self.schema = schema

@@ -8,11 +8,37 @@ payload for prompts and as human-readable text.
 
 from __future__ import annotations
 
+import json
+
+from repro.llm.prompts import PayloadJSON
 from repro.sqldb import Database
 
 
 def schema_payload(db: Database) -> dict:
-    """The machine-readable schema summary carried in every LLM prompt."""
+    """The machine-readable schema summary carried in every LLM prompt.
+
+    One summary per database and statistics epoch, built on first use
+    (``Catalog.epoch_memo``): every caller in an epoch gets the same dict,
+    and none may mutate it.
+    """
+    return _summary(db)[0]
+
+
+def schema_json(db: Database) -> PayloadJSON:
+    """``json.dumps(schema_payload(db), sort_keys=True)``, encoded once with
+    the summary: the ``"schema"`` member of every prompt payload."""
+    return _summary(db)[1]
+
+
+def _summary(db: Database) -> tuple[dict, PayloadJSON]:
+    def build() -> tuple[dict, PayloadJSON]:
+        schema = _schema_of(db)
+        return schema, PayloadJSON(json.dumps(schema, sort_keys=True))
+
+    return db.catalog.epoch_memo(("schema_summary", db.name), build)
+
+
+def _schema_of(db: Database) -> dict:
     catalog = db.catalog
     tables = []
     for name in catalog.table_names:

@@ -23,7 +23,7 @@ from repro.workload import (
 from .check_rewrite import RewriteTrace, check_and_rewrite, spec_to_payload
 from .config import BarberConfig
 from .join_paths import sample_join_path
-from .schema_summary import schema_payload
+from .schema_summary import schema_json, schema_payload
 from .validation import template_error
 
 
@@ -71,6 +71,7 @@ class CustomizedTemplateGenerator:
         self.llm = llm if llm is not None else SimulatedLLM(seed=self.config.seed)
         self._rng = np.random.default_rng(self.config.seed)
         self._schema = schema_payload(db)
+        self._schema_json = schema_json(db)
 
     @property
     def schema(self) -> dict:
@@ -88,7 +89,7 @@ class CustomizedTemplateGenerator:
             )
             payload = {
                 "task": "generate_template",
-                "schema": self._schema,
+                "schema": self._schema_json,
                 "join_path": join_path,
                 "spec": spec_to_payload(spec),
             }
@@ -101,7 +102,12 @@ class CustomizedTemplateGenerator:
             # catalog while its template is generated and rewritten.
             verdicts: dict[str, str | None] = {}
             trace = check_and_rewrite(
-                candidate, spec, self.db, self.llm, self._schema, self.config,
+                candidate,
+                spec,
+                self.db,
+                self.llm,
+                self._schema_json,
+                self.config,
                 verdicts,
             )
             template = self._finalize(trace.final_sql, spec, verdicts)

@@ -17,6 +17,7 @@ from .errors import (
 )
 from .faults import MALFORMED_RESPONSE, FaultModel, TransportFaultModel
 from .prompts import (
+    PayloadJSON,
     decode_payload,
     encode_payload,
     fix_execution_prompt,
@@ -45,6 +46,7 @@ __all__ = [
     "MALFORMED_RESPONSE",
     "O3_MINI_PRICING",
     "PIPELINE_ABORT_ERRORS",
+    "PayloadJSON",
     "TransportFaultModel",
     "PricingModel",
     "SchemaModel",

@@ -11,13 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+# The ASCII characters ``str.split()`` splits at.
+_ASCII_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
 def count_tokens(text: str) -> int:
-    """Deterministic token estimate: ~4 characters/token, floor 1 per word."""
+    """Deterministic token estimate: ~4 characters/token, floor 1 per word.
+
+    A text holds at most one word more than it holds whitespace, so an ASCII
+    text with fewer whitespace characters than ``len(text) // 4`` counts
+    ``len(text) // 4`` without being split into words.
+    """
     if not text:
         return 0
     by_chars = len(text) // 4
-    by_words = len(text.split())
-    return max(by_chars, by_words, 1)
+    if text.isascii():
+        data = text.encode("ascii")
+        if len(data) - len(data.translate(None, _ASCII_WHITESPACE)) < by_chars:
+            return by_chars
+    return max(by_chars, len(text.split()), 1)
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,43 @@ costs, and refinement history.
 from __future__ import annotations
 
 import json
-import re
 
-_PAYLOAD_RE = re.compile(r"<payload>(.*?)</payload>", re.DOTALL)
+_OPEN, _CLOSE = "<payload>", "</payload>"
+
+# ``json.dumps(value, sort_keys=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+class PayloadJSON(str):
+    """A payload member's JSON text, encoded once: ``json.dumps(value,
+    sort_keys=True)`` of a value many prompts carry unchanged (the schema
+    summary).  :func:`encode_payload` splices it in verbatim instead of
+    encoding the value again; a ``str`` cannot change after it is made."""
 
 
 def encode_payload(payload: dict) -> str:
-    return f"<payload>{json.dumps(payload, sort_keys=True)}</payload>"
+    """``<payload>`` + ``json.dumps(payload, sort_keys=True)`` + ``</payload>``.
+
+    The top-level object is written here, byte for byte as ``json.dumps``
+    writes it for string keys, so that a :class:`PayloadJSON` member goes in
+    as its text; every other member is ``json.dumps(value, sort_keys=True)``.
+    """
+    members = ", ".join(
+        f"{_encode(key)}: "
+        + (value if isinstance(value, PayloadJSON) else _encode(value))
+        for key, value in sorted(payload.items())
+    )
+    return f"{_OPEN}{{{members}}}{_CLOSE}"
 
 
 def decode_payload(prompt: str) -> dict:
-    match = _PAYLOAD_RE.search(prompt)
-    if match is None:
+    """The JSON between the first ``<payload>`` and the first ``</payload>``
+    after it."""
+    start = prompt.find(_OPEN)
+    end = prompt.find(_CLOSE, start + len(_OPEN)) if start >= 0 else -1
+    if end < 0:
         raise ValueError("prompt carries no <payload> block")
-    return json.loads(match.group(1))
+    return json.loads(prompt[start + len(_OPEN):end])
 
 
 def _schema_section(schema: dict) -> str:

@@ -8,6 +8,7 @@ types and distinct counts, primary/foreign keys, and index metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .errors import CatalogError
 from .stats import ColumnStats, analyze_column
@@ -15,6 +16,8 @@ from .storage import Column, Table
 from .types import ColumnType, SqlType
 
 PAGE_SIZE_BYTES = 8192
+
+T = TypeVar("T")
 
 
 class PhysicalIndex:
@@ -161,9 +164,9 @@ class Catalog:
         # and the lazily-built physical index structures they govern.
         self._mutation_counts: dict[str, int] = {}
         self._physical_indexes: dict[tuple[str, str], PhysicalIndex] = {}
-        # Per-column sorted distinct text values (see text_domain), with
-        # the statistics epoch they were built in: (epoch, {key: domain}).
-        self._text_domains: tuple[int, dict] = (0, {})
+        # Values derived from the catalog (see epoch_memo), with the
+        # statistics epoch they were built in: (epoch, {key: value}).
+        self._epoch_memo: tuple[int, dict] = (0, {})
 
     @property
     def statistics_epoch(self) -> int:
@@ -300,27 +303,34 @@ class Catalog:
             return list(index.null_positions)
         return index.lookup(value)
 
+    def epoch_memo(self, key: tuple, build: Callable[[], T]) -> T:
+        """``build()``, built on first use and kept under *key* until the
+        statistics epoch moves (every DDL, ``note_mutation`` and
+        ``reanalyze`` moves it).
+
+        *build* must derive its value from this catalog and *key* alone, so
+        a caller that edits column arrays in place must ``reanalyze`` before
+        the value follows.  Two threads may both build a missing value; they
+        build equal ones.
+        """
+        epoch = self._statistics_epoch
+        built_in, values = self._epoch_memo
+        if built_in != epoch:
+            values = {}
+            self._epoch_memo = (epoch, values)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = build()
+        return value
+
     def text_domain(self, table: str, column: str) -> tuple[str, ...]:
         """The sorted distinct ``str()`` of the non-NULL values of
-        *table*.*column*.
-
-        Built from the live data on first use and kept until the statistics
-        epoch moves (every DDL, ``note_mutation`` and ``reanalyze`` moves
-        it), so a caller that edits column arrays in place must
-        ``reanalyze`` before the domain follows.  Two threads may both
-        build a missing domain; they build equal tuples.
-        """
+        *table*.*column*, built once per statistics epoch (``epoch_memo``)."""
         self.table(table).column(column)
-        epoch = self._statistics_epoch
-        built_in, domains = self._text_domains
-        if built_in != epoch:
-            domains = {}
-            self._text_domains = (epoch, domains)
-        key = (table, column)
-        domain = domains.get(key)
-        if domain is None:
-            domain = domains[key] = _text_domain_of(self.data(table).column(column))
-        return domain
+        return self.epoch_memo(
+            ("text_domain", table, column),
+            lambda: _text_domain_of(self.data(table).column(column)),
+        )
 
     def reanalyze(self, name: str) -> TableMeta:
         """Recompute row count and column statistics of *name* from its data.

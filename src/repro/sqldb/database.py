@@ -22,7 +22,7 @@ from .catalog import Catalog, ForeignKey, IndexMeta
 from .errors import SqlError
 from .executor import Executor
 from .explain import ExplainResult, explain_plan
-from .parser import parse_sql
+from .parser import SqlStatement, parse_sql
 from .plan_nodes import Plan
 from .planner import Planner
 from .storage import Table
@@ -121,11 +121,12 @@ class Database:
         :meth:`~repro.sqldb.errors.SqlError.context_snippet`.
         """
         try:
-            statement = parse_sql(sql)
-            bound = self._binder.bind(statement)
-            return self._planner.plan(bound)
+            return self._plan_statement(parse_sql(sql))
         except SqlError as exc:
             raise exc.attach_source(sql)
+
+    def _plan_statement(self, statement: SqlStatement) -> Plan:
+        return self._planner.plan(self._binder.bind(statement))
 
     def explain(self, sql: str) -> ExplainResult:
         """The equivalent of ``EXPLAIN <sql>``: estimates only, no execution.
@@ -181,22 +182,34 @@ class Database:
             )
         return result
 
-    def execute(self, sql: str, plan: Plan | None = None) -> ExecutionResult:
+    def execute(
+        self,
+        sql: str,
+        plan: Plan | None = None,
+        statement: SqlStatement | None = None,
+    ) -> ExecutionResult:
         """Run *sql* and return its result rows with wall-clock timing.
 
         *plan*, when given, is a plan of *sql* built beforehand — a prepared
         template binding (:meth:`CompiledTemplate.execute
         <repro.fastpath.compiled.CompiledTemplate.execute>`) or the plan
         ``explain_analyze`` costed — and runs without parsing, binding or
-        planning *sql*; the timing then covers execution alone.  Either way
-        this is the one execution entry: the ``sqldb.execute.*`` counters,
-        the ambient governor and error positioning apply to every statement.
+        planning *sql*; the timing then covers execution alone.  Without a
+        plan, *statement*, when given, is *sql* already parsed, a tree the
+        caller hands over (a script's INSERT): it is bound and planned
+        without parsing *sql* again.  Either way this is the one execution
+        entry: the ``sqldb.execute.*`` counters, the ambient governor and
+        error positioning apply to every statement.
         """
         telemetry = current_telemetry()
         started = time.perf_counter()
         try:
             if plan is None:
-                plan = self.plan(sql)
+                plan = (
+                    self.plan(sql)
+                    if statement is None
+                    else self._plan_statement(statement)
+                )
             table = self._executor.execute(plan)
         except SqlError as exc:
             if telemetry.enabled:

@@ -206,12 +206,8 @@ class _DdlParser(_Parser):
 
 
 def _parse_statement(text: str, tokens: list[Token]) -> Statement:
-    """Parse one statement: its text and its tokens, which end in EOF.
-
-    An INSERT parses with :func:`parse_sql`, whose memo then hands the tree
-    to :meth:`Database.execute` without a second parse while the script
-    holds no more INSERTs than the memo's 64 entries.
-    """
+    """Parse one statement: its text and its tokens, which end in EOF.  An
+    INSERT parses with :func:`parse_sql`."""
     first = tokens[0]
     if first.matches_keyword("insert"):
         return parse_sql(text)
@@ -241,9 +237,9 @@ def run_script(db: Database, script: str) -> Database:
     CREATE TABLE of a name already taken) registers nothing.  Then, in
     script order, CREATE TABLE registers an empty table with its NOT NULL
     columns, primary key and foreign keys, CREATE INDEX registers the index
-    under its own name, and each INSERT runs through
-    :meth:`Database.execute`.  Each table the script created is analyzed
-    once, after the last statement.
+    under its own name, and each INSERT runs its parsed tree through
+    :meth:`Database.execute`, which does not parse it again.  Each table the
+    script created is analyzed once, after the last statement.
     """
     try:
         statements = [
@@ -268,7 +264,7 @@ def run_script(db: Database, script: str) -> Database:
                 )
             )
         else:
-            db.execute(text)
+            db.execute(text, statement=statement)
     for name in created:
         db.analyze(name)
     return db

@@ -135,10 +135,12 @@ class _JoinCondition:
     left_binding: str
     right_binding: str
     selectivity: float = 1.0  # resolved once both bindings are planned
+    # Both bindings, built once: join ordering reads it for every pair of
+    # candidate binding and condition.
+    bindings: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def bindings(self) -> frozenset[str]:
-        return frozenset((self.left_binding, self.right_binding))
+    def __post_init__(self) -> None:
+        self.bindings = frozenset((self.left_binding, self.right_binding))
 
 
 @dataclass

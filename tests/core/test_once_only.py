@@ -9,18 +9,32 @@
   entry ``SqlTemplate.parse`` filled; a DML template stays on the cold path.
 * One text domain per column per statistics epoch, however many templates
   profile a placeholder on it.
+* One schema summary, and one encoding of it as JSON, per database and
+  statistics epoch, however many pipelines and prompts carry it.
+* One ``CompiledTemplate`` per distinct (text, placeholders, literal types)
+  in a profiler, however many templates refinement proposes with that text.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.core.check_rewrite as check_rewrite_module
+import repro.core.schema_summary as schema_summary_module
 import repro.core.template_generator as template_generator_module
+import repro.fastpath.compiled as compiled_module
 from repro.core import (
     BarberConfig,
     CustomizedTemplateGenerator,
+    SQLBarber,
     TemplateProfiler,
+    schema_json,
+    schema_payload,
     template_error,
 )
 from repro.core.check_rewrite import (
@@ -35,7 +49,7 @@ from repro.obs import current as current_telemetry
 from repro.datasets import build_tpch
 from repro.fastpath.compiled import CompiledTemplate
 from repro.llm import SimulatedLLM
-from repro.sqldb import SqlError
+from repro.sqldb import Database, SqlError, run_script
 from repro.sqldb import catalog as catalog_module
 from repro.sqldb.parser import _parse_once
 from repro.sqldb.types import SqlType
@@ -306,3 +320,225 @@ class TestOneTextDomainPerColumn:
         db.analyze("customer")
         assert profiler.build_space(templates[0]).parameters[0].choices == segments
         assert builds == {"c_mktsegment": 2, "c_name": 1}
+
+
+SCRIPT = """
+CREATE TABLE city (city_id integer PRIMARY KEY, name text);
+CREATE TABLE people (
+    person_id integer PRIMARY KEY, city_id integer, age integer, name text
+);
+INSERT INTO city VALUES (1, 'a'), (2, 'b');
+INSERT INTO people VALUES (1, 1, 30, 'x'), (2, 2, 40, 'y'), (3, 1, 50, 'z');
+"""
+
+
+def table_entry(schema: dict, name: str) -> dict:
+    return next(t for t in schema["tables"] if t["name"] == name)
+
+
+def rows_of(name):
+    return lambda schema: table_entry(schema, name)["rows"]
+
+
+# Each epoch bump: (prepare, bump, what the bump shows in the summary).
+EPOCH_BUMPS = {
+    "create_table": (
+        None,
+        lambda db: run_script(db, "CREATE TABLE extra (id integer);"),
+        lambda schema: [t["name"] for t in schema["tables"]],
+    ),
+    "insert": (
+        None,
+        lambda db: db.execute("INSERT INTO people VALUES (4, 2, 60, 'w')"),
+        rows_of("people"),
+    ),
+    "update": (
+        None,
+        # Statistics stay stale until re-analyzed: a rebuild, no change.
+        lambda db: db.execute("UPDATE people SET age = 99"),
+        None,
+    ),
+    "delete": (
+        None,
+        lambda db: db.execute("DELETE FROM people WHERE age > 35"),
+        rows_of("people"),
+    ),
+    "add_foreign_key": (
+        None,
+        lambda db: db.add_foreign_key("people", "city_id", "city", "city_id"),
+        lambda schema: schema["join_edges"],
+    ),
+    "add_index": (
+        None,
+        lambda db: db.add_index("people", "age"),
+        lambda schema: table_entry(schema, "people")["indexes"],
+    ),
+    "reanalyze": (
+        lambda db: db.execute("UPDATE people SET age = 99"),
+        lambda db: db.analyze("people"),
+        lambda schema: table_entry(schema, "people")["columns"],
+    ),
+}
+
+
+class TestOneSchemaSummaryPerEpoch:
+    def count_builds(self, monkeypatch) -> list[int]:
+        """The epoch of every summary built from now on."""
+        builds: list[int] = []
+        build = schema_summary_module._schema_of
+
+        def counting(db):
+            builds.append(db.catalog.statistics_epoch)
+            return build(db)
+
+        monkeypatch.setattr(schema_summary_module, "_schema_of", counting)
+        return builds
+
+    def test_one_build_per_epoch(self, monkeypatch):
+        db = run_script(Database("people_db"), SCRIPT)
+        builds = self.count_builds(monkeypatch)
+        schema, text = schema_payload(db), schema_json(db)
+        barber = SQLBarber(db, config=BarberConfig(seed=0))
+        generator = barber.template_generator()
+        assert barber.schema is schema
+        assert generator.schema is schema
+        assert schema_payload(db) is schema
+        assert schema_json(db) is text
+        assert builds == [db.catalog.statistics_epoch]
+        assert text == json.dumps(schema, sort_keys=True)
+        assert schema == schema_summary_module._schema_of(db)
+
+    def test_renamed_database_gets_its_own_summary(self):
+        db = run_script(Database("before"), SCRIPT)
+        assert schema_payload(db)["database"] == "before"
+        db.name = "after"
+        assert schema_payload(db)["database"] == "after"
+        assert json.loads(schema_json(db))["database"] == "after"
+
+    @pytest.mark.parametrize("bump", list(EPOCH_BUMPS))
+    def test_every_epoch_bump_rebuilds(self, monkeypatch, bump):
+        prepare, action, shown = EPOCH_BUMPS[bump]
+        db = run_script(Database("people_db"), SCRIPT)
+        if prepare is not None:
+            prepare(db)
+        before, before_text = schema_payload(db), schema_json(db)
+        epoch = db.catalog.statistics_epoch
+        builds = self.count_builds(monkeypatch)
+        action(db)
+        assert db.catalog.statistics_epoch > epoch
+        after, after_text = schema_payload(db), schema_json(db)
+        assert len(builds) == 1
+        assert after is not before
+        fresh = schema_summary_module._schema_of(db)
+        assert after == fresh
+        assert after_text == json.dumps(fresh, sort_keys=True)
+        if shown is None:
+            assert after == before and after_text == before_text
+        else:
+            assert shown(after) != shown(before)
+            assert after_text != before_text
+
+
+TWO_PLACEHOLDERS = (
+    "SELECT o_orderkey FROM orders "
+    "WHERE o_totalprice < {p_1} AND o_custkey > {p_2}"
+)
+
+
+class TestOneCompilePerText:
+    @pytest.fixture()
+    def compiles(self, monkeypatch) -> list[str]:
+        """The text of every compilation attempted from now on."""
+        texts: list[str] = []
+
+        class Counting(CompiledTemplate):
+            def __init__(self, database, template, types):
+                texts.append(template.sql)
+                super().__init__(database, template, types)
+
+        monkeypatch.setattr(compiled_module, "CompiledTemplate", Counting)
+        return texts
+
+    def bindings(self, profiler, template, count=12):
+        profile = profiler.profile(template, num_samples=count)
+        return [values for values, _ in profile.observations]
+
+    @pytest.mark.parametrize("metric", ["plan_cost", "actual_rows"])
+    def test_equal_text_and_placeholders_share(self, small_tpch, compiles, metric):
+        profiler = TemplateProfiler(small_tpch, BarberConfig(seed=0), metric)
+        first = text_template("t", TWO_PLACEHOLDERS, small_tpch)
+        again = text_template("t_r1", TWO_PLACEHOLDERS, small_tpch)
+        compiled = profiler._compiled_for(first)
+        assert compiled is not None
+        assert profiler._compiled_for(again) is compiled
+        assert compiles == [TWO_PLACEHOLDERS]
+        alone = TemplateProfiler(small_tpch, BarberConfig(seed=0), metric)
+        for values in self.bindings(profiler, first):
+            cost = profiler.evaluate(again, values)
+            assert cost == alone.evaluate(again, values)
+            sql = again.instantiate(values)
+            if metric == "plan_cost":
+                assert cost == small_tpch.explain(sql).total_cost
+            else:
+                assert cost == small_tpch.execute(sql).row_count
+
+    def test_different_text_or_placeholders_do_not_share(
+        self, small_tpch, compiles
+    ):
+        profiler = TemplateProfiler(small_tpch, BarberConfig(seed=0))
+        first = text_template("t", TWO_PLACEHOLDERS, small_tpch)
+        other_text = text_template(
+            "u", TWO_PLACEHOLDERS.replace("o_custkey >", "o_custkey <"), small_tpch
+        )
+        other_placeholders = text_template("v", TWO_PLACEHOLDERS, small_tpch)
+        other_placeholders.placeholders = [
+            dataclasses.replace(p, operator="<=")
+            for p in other_placeholders.placeholders
+        ]
+        compiled = {
+            t.template_id: profiler._compiled_for(t)
+            for t in (first, other_text, other_placeholders)
+        }
+        assert len({id(c) for c in compiled.values()}) == 3
+        assert None not in compiled.values()
+        assert len(compiles) == 3
+
+    @pytest.mark.parametrize(
+        "sql, attempts",
+        [
+            ("DELETE FROM orders WHERE o_totalprice > {p_1}", 1),
+            # A text that does not parse is never handed to the compiler.
+            ("SELEC o_orderkey FROM orders WHERE o_totalprice > {p_1}", 0),
+        ],
+        ids=["dml", "syntax_error"],
+    )
+    def test_text_that_does_not_compile_stays_cold(
+        self, small_tpch, compiles, sql, attempts
+    ):
+        profiler = TemplateProfiler(small_tpch, BarberConfig(seed=0))
+        first, again = SqlTemplate("t", sql), SqlTemplate("t_r1", sql)
+        assert profiler._compiled_for(first) is None
+        assert profiler._compiled_for(again) is None
+        assert len(compiles) == attempts
+        for template in (first, again):
+            if sql.startswith("SELEC "):
+                assert profiler.evaluate(template, {"p_1": 5.0}) is None
+            else:
+                cold = small_tpch.explain(template.instantiate({"p_1": 5.0}))
+                assert profiler.evaluate(template, {"p_1": 5.0}) == cold.total_cost
+
+    def test_plan_cost_requests_compile_each_text_once(self, compiles):
+        """150 perfbench ``plan_cost`` requests at seed 101 compile 792
+        templates, one per distinct text; keyed by template id they
+        compiled 1,007."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        workload = workloads.WORKLOADS["plan_cost"]
+        db = workloads.build_db(workload)
+        for request in workloads.generate_requests(workload, 101, 150):
+            workloads.generate(db, request)
+        assert len(compiles) == 792
+        assert len(set(compiles)) == 792

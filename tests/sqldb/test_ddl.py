@@ -12,7 +12,9 @@ from repro.sqldb import (
     run_script,
     split_statements,
 )
+from repro.obs import Telemetry, use_telemetry
 from repro.sqldb.ddl import CreateIndex, CreateTable, parse_ddl
+from repro.sqldb.parser import _parse_once
 
 SCRIPT = """
 CREATE TABLE users (
@@ -286,3 +288,64 @@ class TestScriptsRunThroughTheEngine:
             )
         assert db.catalog.table_names == ["t"]
         assert db.catalog.table("t").row_count == 1
+
+
+class TestScriptParsesEachInsertOnce:
+    """``run_script`` hands each INSERT's tree from its parse pass to
+    ``Database.execute``, which binds and plans it without parsing the text
+    again: one parse-memo miss per INSERT, however long the script."""
+
+    @pytest.mark.parametrize("count", [50, 200])
+    def test_one_miss_per_insert(self, count):
+        table = f"once_{count}"  # texts no other test parses
+        script = f"CREATE TABLE {table} (a integer PRIMARY KEY, b text);\n" + "".join(
+            f"INSERT INTO {table} VALUES ({i}, 'v{i}');\n" for i in range(count)
+        )
+        telemetry = Telemetry()
+        before = _parse_once.cache_info()
+        with use_telemetry(telemetry):
+            db = run_script(Database(), script)
+        after = _parse_once.cache_info()
+        assert after.misses - before.misses == count
+        assert after.hits == before.hits
+        assert db.catalog.table(table).row_count == count
+        assert telemetry.metrics.total("sqldb.execute.calls") == count
+        assert telemetry.metrics.total("sqldb.execute.errors") == 0
+
+    @pytest.mark.parametrize(
+        "script, error, source, line_column, calls",
+        [
+            (
+                "CREATE TABLE t (a integer); INSERT INTO t VALUES (1);\n"
+                "INSERT INTO t VALUES (2); INSERT INTO t (nope) VALUES (3)",
+                BindError,
+                "INSERT INTO t (nope) VALUES (3)",
+                (None, None),
+                3,
+            ),
+            (
+                "CREATE TABLE t (a integer); INSERT INTO t\n SELECT b FROM t",
+                BindError,
+                "INSERT INTO t\n SELECT b FROM t",
+                (2, 9),
+                1,
+            ),
+            (
+                "CREATE TABLE t (a integer NOT NULL); INSERT INTO t VALUES (NULL)",
+                ConstraintError,
+                "INSERT INTO t VALUES (NULL)",
+                (None, None),
+                1,
+            ),
+        ],
+    )
+    def test_errors_positioned_and_counted(
+        self, script, error, source, line_column, calls
+    ):
+        telemetry = Telemetry()
+        with use_telemetry(telemetry), pytest.raises(error) as caught:
+            run_script(Database(), script)
+        assert caught.value.source == source
+        assert (caught.value.line, caught.value.column) == line_column
+        assert telemetry.metrics.total("sqldb.execute.calls") == calls
+        assert telemetry.metrics.total("sqldb.execute.errors") == 1
