@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
+
+# The standard normal's cdf and pdf as scipy.stats.norm computes them
+# (``_norm_cdf`` and ``_norm_pdf``), bit for bit, without importing
+# scipy.stats: its import is most of a cold start.
+_NORM_PDF_C = np.sqrt(2 * np.pi)
 
 
 def expected_improvement(
@@ -23,9 +28,9 @@ def expected_improvement(
     if positive.any():
         z = improvement[positive] / std[positive]
         ei = ei.copy()
-        ei[positive] = improvement[positive] * stats.norm.cdf(z) + std[
-            positive
-        ] * stats.norm.pdf(z)
+        ei[positive] = improvement[positive] * ndtr(z) + std[positive] * (
+            np.exp(-z**2 / 2.0) / _NORM_PDF_C
+        )
     return ei
 
 

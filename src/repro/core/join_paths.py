@@ -1,44 +1,85 @@
 """Step 2 of the template generator: join path enumeration and sampling.
 
 The join graph has a node per table and an edge per foreign key.  The
-generator enumerates simple join paths with networkx and samples one per
-template attempt, which (i) diversifies join patterns across attempts,
-(ii) shrinks prompts to the tables on the path, and (iii) avoids the LLM
-long-context failure mode — the three benefits the paper lists.
+generator samples one join path per template attempt, which (i)
+diversifies join patterns across attempts, (ii) shrinks prompts to the
+tables on the path, and (iii) avoids the LLM long-context failure mode —
+the three benefits the paper lists.  Sampling reads the FK edges in the
+join graph's edge order without building the graph; networkx is imported
+only by :func:`join_graph` and :func:`enumerate_join_paths`.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.sqldb import Database
+from repro.sqldb.catalog import ForeignKey
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 JoinEdge = dict  # {"table", "column", "ref_table", "ref_column"}
 
 
+def _edge(fk: ForeignKey) -> JoinEdge:
+    return {
+        "table": fk.table,
+        "column": fk.column,
+        "ref_table": fk.ref_table,
+        "ref_column": fk.ref_column,
+    }
+
+
 def join_graph(db: Database) -> nx.MultiGraph:
     """The undirected join graph: tables as nodes, FKs as edges."""
+    import networkx as nx
+
     graph = nx.MultiGraph()
     graph.add_nodes_from(db.catalog.table_names)
     for fk in db.catalog.foreign_keys:
-        graph.add_edge(
-            fk.table,
-            fk.ref_table,
-            edge={
-                "table": fk.table,
-                "column": fk.column,
-                "ref_table": fk.ref_table,
-                "ref_column": fk.ref_column,
-            },
-        )
+        graph.add_edge(fk.table, fk.ref_table, edge=_edge(fk))
     return graph
+
+
+def join_edges(db: Database) -> list[JoinEdge]:
+    """Every FK edge, in the order ``join_graph(db).edges(data=True)``
+    lists them.
+
+    That order is networkx's ``MultiGraph`` adjacency walk: tables in
+    catalog order; for each table, its neighbours in the order their first
+    FK was added, skipping neighbours already walked; parallel FKs in the
+    order they were added; a self-referencing FK once.
+    """
+    adjacency: dict[str, dict[str, list[JoinEdge]]] = {
+        name: {} for name in db.catalog.table_names
+    }
+    for fk in db.catalog.foreign_keys:
+        # One list shared by both ends, as the graph shares its key dict.
+        parallel = adjacency.setdefault(fk.table, {}).get(fk.ref_table)
+        if parallel is None:
+            parallel = []
+            adjacency[fk.table][fk.ref_table] = parallel
+            adjacency.setdefault(fk.ref_table, {})[fk.table] = parallel
+        parallel.append(_edge(fk))
+    edges: list[JoinEdge] = []
+    walked: set[str] = set()
+    for table, neighbours in adjacency.items():
+        for neighbour, parallel in neighbours.items():
+            if neighbour not in walked:
+                edges.extend(parallel)
+        walked.add(table)
+    return edges
 
 
 def enumerate_join_paths(
     db: Database, max_joins: int, limit: int = 10_000
 ) -> list[list[JoinEdge]]:
     """All simple join paths with 1..max_joins edges (up to *limit*)."""
+    import networkx as nx
+
     graph = join_graph(db)
     paths: list[list[JoinEdge]] = []
     tables = sorted(graph.nodes)
@@ -74,8 +115,7 @@ def sample_join_path(
     """
     if num_joins <= 0:
         return []
-    graph = join_graph(db)
-    all_edges = [data["edge"] for _, _, data in graph.edges(data=True)]
+    all_edges = join_edges(db)
     if not all_edges:
         return []
     first = all_edges[int(rng.integers(len(all_edges)))]

@@ -51,10 +51,10 @@ _BASE_ROWS = {
 DEFAULT_SCALE = 3.0
 
 
-def _zipf_refs(rng: np.random.Generator, n: int, domain: int) -> list[int]:
+def _zipf_refs(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
     """Skewed foreign-key references: low ids are heavily popular."""
     raw = rng.zipf(1.3, n)
-    return (np.minimum(raw, domain) - 1).astype(np.int64).tolist()
+    return (np.minimum(raw, domain) - 1).astype(np.int64)
 
 
 def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
@@ -67,7 +67,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         db.create_table(
             Table.from_dict(
                 name,
-                {"id": list(range(len(values))), column: values},
+                {"id": np.arange(len(values)), column: values},
                 {"id": SqlType.INTEGER, column: SqlType.TEXT},
             ),
             primary_key=["id"],
@@ -81,20 +81,18 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
     lookup_table("info_type", "info", INFO_KINDS)
 
     n_title = rows["title"]
+    kind_ids = rng.integers(0, len(KIND_TYPES), n_title)
+    years = np.clip(rng.normal(1995, 18, n_title).astype(int), 1900, 2024)
+    episodes = rng.integers(0, 200, n_title)
     db.create_table(
         Table.from_dict(
             "title",
             {
-                "id": list(range(n_title)),
+                "id": np.arange(n_title),
                 "title": [f"Movie Title {i % 1500}" for i in range(n_title)],
-                "kind_id": rng.integers(0, len(KIND_TYPES), n_title).tolist(),
-                "production_year": np.clip(
-                    rng.normal(1995, 18, n_title).astype(int), 1900, 2024
-                ).tolist(),
-                "episode_nr": [
-                    int(v) if v < 50 else None
-                    for v in rng.integers(0, 200, n_title)
-                ],
+                "kind_id": kind_ids,
+                "production_year": years,
+                "episode_nr": episodes,
             },
             {
                 "id": SqlType.INTEGER,
@@ -103,6 +101,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
                 "production_year": SqlType.INTEGER,
                 "episode_nr": SqlType.INTEGER,
             },
+            nulls={"episode_nr": episodes >= 50},
         ),
         primary_key=["id"],
     )
@@ -112,11 +111,9 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "name",
             {
-                "id": list(range(n_name)),
+                "id": np.arange(n_name),
                 "name": [f"Person {i % 3000} Name" for i in range(n_name)],
-                "gender": rng.choice(
-                    ["m", "f"], n_name, p=[0.62, 0.38]
-                ).tolist(),
+                "gender": rng.choice(["m", "f"], n_name, p=[0.62, 0.38]),
             },
             {"id": SqlType.INTEGER, "name": SqlType.TEXT, "gender": SqlType.TEXT},
         ),
@@ -128,7 +125,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "char_name",
             {
-                "id": list(range(n_char)),
+                "id": np.arange(n_char),
                 "name": [f"Character {i % 2000}" for i in range(n_char)],
             },
             {"id": SqlType.INTEGER, "name": SqlType.TEXT},
@@ -141,9 +138,9 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "company_name",
             {
-                "id": list(range(n_company)),
+                "id": np.arange(n_company),
                 "name": [f"Company {i % 800} Inc" for i in range(n_company)],
-                "country_code": rng.choice(COUNTRY_CODES, n_company).tolist(),
+                "country_code": rng.choice(COUNTRY_CODES, n_company),
             },
             {
                 "id": SqlType.INTEGER,
@@ -159,7 +156,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "keyword",
             {
-                "id": list(range(n_keyword)),
+                "id": np.arange(n_keyword),
                 "keyword": [f"keyword-{i}" for i in range(n_keyword)],
             },
             {"id": SqlType.INTEGER, "keyword": SqlType.TEXT},
@@ -172,12 +169,12 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "cast_info",
             {
-                "id": list(range(n_cast)),
+                "id": np.arange(n_cast),
                 "person_id": _zipf_refs(rng, n_cast, n_name),
                 "movie_id": _zipf_refs(rng, n_cast, n_title),
                 "person_role_id": _zipf_refs(rng, n_cast, n_char),
-                "role_id": rng.integers(0, len(ROLE_TYPES), n_cast).tolist(),
-                "nr_order": rng.integers(1, 60, n_cast).tolist(),
+                "role_id": rng.integers(0, len(ROLE_TYPES), n_cast),
+                "nr_order": rng.integers(1, 60, n_cast),
             },
             {
                 "id": SqlType.INTEGER,
@@ -195,7 +192,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         name: str, count: int, extra: dict, extra_types: dict
     ) -> None:
         data = {
-            "id": list(range(count)),
+            "id": np.arange(count),
             "movie_id": _zipf_refs(rng, count, n_title),
             **extra,
         }
@@ -211,7 +208,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         "movie_info",
         n_minfo,
         {
-            "info_type_id": rng.integers(0, len(INFO_KINDS), n_minfo).tolist(),
+            "info_type_id": rng.integers(0, len(INFO_KINDS), n_minfo),
             "info": [f"info value {i % 997}" for i in range(n_minfo)],
         },
         {"info_type_id": SqlType.INTEGER, "info": SqlType.TEXT},
@@ -222,8 +219,11 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         "movie_info_idx",
         n_midx,
         {
-            "info_type_id": rng.integers(0, len(INFO_KINDS), n_midx).tolist(),
-            "info": [f"{round(v, 1)}" for v in rng.uniform(1.0, 10.0, n_midx)],
+            "info_type_id": rng.integers(0, len(INFO_KINDS), n_midx),
+            "info": [
+                repr(v)
+                for v in np.round(rng.uniform(1.0, 10.0, n_midx), 1).tolist()
+            ],
         },
         {"info_type_id": SqlType.INTEGER, "info": SqlType.TEXT},
     )
@@ -242,7 +242,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         n_mc,
         {
             "company_id": _zipf_refs(rng, n_mc, n_company),
-            "company_type_id": rng.integers(0, len(COMPANY_TYPES), n_mc).tolist(),
+            "company_type_id": rng.integers(0, len(COMPANY_TYPES), n_mc),
         },
         {"company_id": SqlType.INTEGER, "company_type_id": SqlType.INTEGER},
     )
@@ -252,9 +252,9 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "person_info",
             {
-                "id": list(range(n_pinfo)),
+                "id": np.arange(n_pinfo),
                 "person_id": _zipf_refs(rng, n_pinfo, n_name),
-                "info_type_id": rng.integers(0, len(INFO_KINDS), n_pinfo).tolist(),
+                "info_type_id": rng.integers(0, len(INFO_KINDS), n_pinfo),
                 "info": [f"person info {i % 500}" for i in range(n_pinfo)],
             },
             {
@@ -272,7 +272,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         Table.from_dict(
             "aka_name",
             {
-                "id": list(range(n_aka_name)),
+                "id": np.arange(n_aka_name),
                 "person_id": _zipf_refs(rng, n_aka_name, n_name),
                 "name": [f"Alias {i}" for i in range(n_aka_name)],
             },
@@ -291,7 +291,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         n_aka_title,
         {
             "title": [f"Alt Title {i}" for i in range(n_aka_title)],
-            "kind_id": rng.integers(0, len(KIND_TYPES), n_aka_title).tolist(),
+            "kind_id": rng.integers(0, len(KIND_TYPES), n_aka_title),
         },
         {"title": SqlType.TEXT, "kind_id": SqlType.INTEGER},
     )
@@ -302,7 +302,7 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         n_link,
         {
             "linked_movie_id": _zipf_refs(rng, n_link, n_title),
-            "link_type_id": rng.integers(0, len(LINK_TYPES), n_link).tolist(),
+            "link_type_id": rng.integers(0, len(LINK_TYPES), n_link),
         },
         {"linked_movie_id": SqlType.INTEGER, "link_type_id": SqlType.INTEGER},
     )
@@ -312,8 +312,8 @@ def build_imdb(scale: float = DEFAULT_SCALE, seed: int = 11) -> Database:
         "complete_cast",
         n_cc,
         {
-            "subject_id": rng.integers(0, len(COMP_CAST_TYPES), n_cc).tolist(),
-            "status_id": rng.integers(0, len(COMP_CAST_TYPES), n_cc).tolist(),
+            "subject_id": rng.integers(0, len(COMP_CAST_TYPES), n_cc),
+            "status_id": rng.integers(0, len(COMP_CAST_TYPES), n_cc),
         },
         {"subject_id": SqlType.INTEGER, "status_id": SqlType.INTEGER},
     )

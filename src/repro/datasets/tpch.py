@@ -68,7 +68,7 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "region",
             {
-                "r_regionkey": list(range(len(REGIONS))),
+                "r_regionkey": np.arange(len(REGIONS)),
                 "r_name": REGIONS,
                 "r_comment": [f"region comment {i}" for i in range(len(REGIONS))],
             },
@@ -85,7 +85,7 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "nation",
             {
-                "n_nationkey": list(range(len(NATIONS))),
+                "n_nationkey": np.arange(len(NATIONS)),
                 "n_name": [n for n, _ in NATIONS],
                 "n_regionkey": [r for _, r in NATIONS],
             },
@@ -103,12 +103,12 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "supplier",
             {
-                "s_suppkey": list(range(n_supplier)),
+                "s_suppkey": np.arange(n_supplier),
                 "s_name": [f"Supplier#{i:09d}" for i in range(n_supplier)],
-                "s_nationkey": rng.integers(0, len(NATIONS), n_supplier).tolist(),
+                "s_nationkey": rng.integers(0, len(NATIONS), n_supplier),
                 "s_acctbal": np.round(
                     rng.uniform(-999.99, 9999.99, n_supplier), 2
-                ).tolist(),
+                ),
             },
             {
                 "s_suppkey": SqlType.INTEGER,
@@ -125,13 +125,13 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "customer",
             {
-                "c_custkey": list(range(n_customer)),
+                "c_custkey": np.arange(n_customer),
                 "c_name": [f"Customer#{i:09d}" for i in range(n_customer)],
-                "c_nationkey": rng.integers(0, len(NATIONS), n_customer).tolist(),
+                "c_nationkey": rng.integers(0, len(NATIONS), n_customer),
                 "c_acctbal": np.round(
                     rng.uniform(-999.99, 9999.99, n_customer), 2
-                ).tolist(),
-                "c_mktsegment": rng.choice(MARKET_SEGMENTS, n_customer).tolist(),
+                ),
+                "c_mktsegment": rng.choice(MARKET_SEGMENTS, n_customer),
             },
             {
                 "c_custkey": SqlType.INTEGER,
@@ -149,14 +149,14 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "part",
             {
-                "p_partkey": list(range(n_part)),
+                "p_partkey": np.arange(n_part),
                 "p_name": [f"part {i % 500} name" for i in range(n_part)],
                 "p_brand": [f"Brand#{1 + i % 25}" for i in range(n_part)],
-                "p_type": rng.choice(PART_TYPES, n_part).tolist(),
-                "p_size": rng.integers(1, 51, n_part).tolist(),
+                "p_type": rng.choice(PART_TYPES, n_part),
+                "p_size": rng.integers(1, 51, n_part),
                 "p_retailprice": np.round(
                     900.0 + rng.gamma(2.0, 150.0, n_part), 2
-                ).tolist(),
+                ),
             },
             {
                 "p_partkey": SqlType.INTEGER,
@@ -175,12 +175,12 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "partsupp",
             {
-                "ps_partkey": rng.integers(0, n_part, n_partsupp).tolist(),
-                "ps_suppkey": rng.integers(0, n_supplier, n_partsupp).tolist(),
-                "ps_availqty": rng.integers(1, 10_000, n_partsupp).tolist(),
+                "ps_partkey": rng.integers(0, n_part, n_partsupp),
+                "ps_suppkey": rng.integers(0, n_supplier, n_partsupp),
+                "ps_availqty": rng.integers(1, 10_000, n_partsupp),
                 "ps_supplycost": np.round(
                     rng.uniform(1.0, 1000.0, n_partsupp), 2
-                ).tolist(),
+                ),
             },
             {
                 "ps_partkey": SqlType.INTEGER,
@@ -197,16 +197,16 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "orders",
             {
-                "o_orderkey": list(range(n_orders)),
-                "o_custkey": rng.integers(0, n_customer, n_orders).tolist(),
+                "o_orderkey": np.arange(n_orders),
+                "o_custkey": rng.integers(0, n_customer, n_orders),
                 "o_orderstatus": rng.choice(
                     ["O", "F", "P"], n_orders, p=[0.49, 0.49, 0.02]
-                ).tolist(),
+                ),
                 "o_totalprice": np.round(
                     1000.0 + rng.gamma(2.2, 60_000.0, n_orders) / 1000.0 * 150, 2
-                ).tolist(),
-                "o_orderdate": order_dates.tolist(),
-                "o_orderpriority": rng.choice(ORDER_PRIORITIES, n_orders).tolist(),
+                ),
+                "o_orderdate": order_dates,
+                "o_orderpriority": rng.choice(ORDER_PRIORITIES, n_orders),
             },
             {
                 "o_orderkey": SqlType.INTEGER,
@@ -226,20 +226,20 @@ def build_tpch(scale: float = DEFAULT_SCALE, seed: int = 7) -> Database:
         Table.from_dict(
             "lineitem",
             {
-                "l_orderkey": rng.integers(0, n_orders, n_lineitem).tolist(),
-                "l_partkey": rng.integers(0, n_part, n_lineitem).tolist(),
-                "l_suppkey": rng.integers(0, n_supplier, n_lineitem).tolist(),
-                "l_linenumber": (np.arange(n_lineitem) % 7 + 1).tolist(),
-                "l_quantity": rng.integers(1, 51, n_lineitem).tolist(),
+                "l_orderkey": rng.integers(0, n_orders, n_lineitem),
+                "l_partkey": rng.integers(0, n_part, n_lineitem),
+                "l_suppkey": rng.integers(0, n_supplier, n_lineitem),
+                "l_linenumber": np.arange(n_lineitem) % 7 + 1,
+                "l_quantity": rng.integers(1, 51, n_lineitem),
                 "l_extendedprice": np.round(
                     rng.gamma(2.0, 18_000.0, n_lineitem) / 1000.0, 2
-                ).tolist(),
-                "l_discount": np.round(rng.uniform(0.0, 0.1, n_lineitem), 2).tolist(),
-                "l_tax": np.round(rng.uniform(0.0, 0.08, n_lineitem), 2).tolist(),
-                "l_returnflag": rng.choice(RETURN_FLAGS, n_lineitem).tolist(),
-                "l_linestatus": rng.choice(LINE_STATUSES, n_lineitem).tolist(),
-                "l_shipdate": ship_dates.tolist(),
-                "l_commitdate": (ship_dates + rng.integers(1, 60, n_lineitem)).tolist(),
+                ),
+                "l_discount": np.round(rng.uniform(0.0, 0.1, n_lineitem), 2),
+                "l_tax": np.round(rng.uniform(0.0, 0.08, n_lineitem), 2),
+                "l_returnflag": rng.choice(RETURN_FLAGS, n_lineitem),
+                "l_linestatus": rng.choice(LINE_STATUSES, n_lineitem),
+                "l_shipdate": ship_dates,
+                "l_commitdate": ship_dates + rng.integers(1, 60, n_lineitem),
             },
             {
                 "l_orderkey": SqlType.INTEGER,

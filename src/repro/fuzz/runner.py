@@ -42,15 +42,13 @@ def build_fuzz_database(seed: int = 0) -> Database:
     rng = np.random.default_rng(seed + 1729)
     db = Database("fuzzdb")
     n_users, n_orders, n_items = 120, 600, 90
+    user_rows, order_rows = np.arange(n_users), np.arange(n_orders)
     users = Table.from_dict(
         "users",
         {
-            "user_id": list(range(n_users)),
+            "user_id": user_rows,
             "name": [f"user_{i % 19}" for i in range(n_users)],
-            "age": [
-                None if i % 13 == 0 else int(a)
-                for i, a in enumerate(rng.integers(18, 80, n_users))
-            ],
+            "age": rng.integers(18, 80, n_users),
             "city": [
                 None if i % 11 == 0 else f"city_{i % 5}" for i in range(n_users)
             ],
@@ -61,26 +59,21 @@ def build_fuzz_database(seed: int = 0) -> Database:
             "age": SqlType.INTEGER,
             "city": SqlType.TEXT,
         },
+        nulls={"age": user_rows % 13 == 0},
     )
     db.create_table(users, primary_key=["user_id"])
     orders = Table.from_dict(
         "orders",
         {
-            "order_id": list(range(n_orders)),
-            "user_id": rng.integers(0, n_users, n_orders).tolist(),
-            "item_id": [
-                None if i % 29 == 0 else int(v)
-                for i, v in enumerate(rng.integers(0, n_items, n_orders))
-            ],
-            "amount": [
-                None if i % 23 == 0 else float(v)
-                for i, v in enumerate(rng.exponential(80.0, n_orders).round(2))
-            ],
+            "order_id": order_rows,
+            "user_id": rng.integers(0, n_users, n_orders),
+            "item_id": rng.integers(0, n_items, n_orders),
+            "amount": rng.exponential(80.0, n_orders).round(2),
             "status": [
                 ["new", "paid", "shipped", "done", "void"][i % 5]
                 for i in range(n_orders)
             ],
-            "order_date": [10800 + (i * 7) % 400 for i in range(n_orders)],
+            "order_date": 10800 + order_rows * 7 % 400,
         },
         {
             "order_id": SqlType.INTEGER,
@@ -90,15 +83,16 @@ def build_fuzz_database(seed: int = 0) -> Database:
             "status": SqlType.TEXT,
             "order_date": SqlType.DATE,
         },
+        nulls={"item_id": order_rows % 29 == 0, "amount": order_rows % 23 == 0},
     )
     db.create_table(orders, primary_key=["order_id"])
     items = Table.from_dict(
         "items",
         {
-            "item_id": list(range(n_items)),
+            "item_id": np.arange(n_items),
             "label": [f"item_{i % 31}" for i in range(n_items)],
-            "price": rng.uniform(1.0, 500.0, n_items).round(2).tolist(),
-            "in_stock": [bool(i % 3) for i in range(n_items)],
+            "price": rng.uniform(1.0, 500.0, n_items).round(2),
+            "in_stock": np.arange(n_items) % 3 != 0,
         },
         {
             "item_id": SqlType.INTEGER,

@@ -416,7 +416,12 @@ def _evaluate_in_subquery(expression: ast.InSubquery, context: EvalContext) -> V
     operand = evaluate(expression.operand, context)
     values = sub.values if sub.values is not None else np.array([], dtype=object)
     if operand.sql_type is SqlType.TEXT or values.dtype == np.dtype(object):
-        member = np.isin(operand.data.astype(str), values.astype(str))
+        # Both sides' str() values, looked up by str equality as = compares
+        # them: a fixed-width unicode array would drop trailing NULs and
+        # find 'a\x00' in ('a').
+        keys = set(_text_values(values).tolist())
+        texts = _text_values(operand.data).tolist()
+        member = np.fromiter(map(keys.__contains__, texts), bool, len(texts))
     else:
         member = np.isin(
             operand.data.astype(np.float64), values.astype(np.float64)

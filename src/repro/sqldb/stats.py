@@ -12,10 +12,12 @@ values.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr_eval import _text_values
 from .storage import Column
 from .types import SqlType
 
@@ -193,11 +195,19 @@ def analyze_column(
             min_value=None, max_value=None, row_count=total,
         )
 
+    orderable = column.sql_type.is_numeric or column.sql_type is SqlType.DATE
     if column.sql_type is SqlType.TEXT:
-        uniques, counts = np.unique(values.astype(str), return_counts=True)
-    elif column.sql_type is SqlType.BOOLEAN:
-        uniques, counts = np.unique(values, return_counts=True)
-    else:
+        # The executor's text values, tallied: a fixed-width unicode array
+        # would drop trailing NULs and merge 'a\x00' into 'a'.  Python
+        # and numpy both order strings by code point.
+        tally = Counter(_text_values(values).tolist())
+        uniques = sorted(tally)
+        counts = np.array([tally[text] for text in uniques], dtype=np.intp)
+    elif orderable:
+        # One sort feeds the distinct counts and the histogram.
+        ordered = np.sort(values)
+        uniques, counts = _sorted_unique_counts(ordered)
+    else:  # BOOLEAN
         uniques, counts = np.unique(values, return_counts=True)
     distinct = float(len(uniques))
 
@@ -216,8 +226,12 @@ def analyze_column(
     histogram = None
     min_value: float | str | None
     max_value: float | str | None
-    if column.sql_type.is_numeric or column.sql_type is SqlType.DATE:
-        numeric = values.astype(np.float64)
+    if orderable:
+        numeric = ordered.astype(np.float64, copy=False)
+        if _order_ambiguous(values, ordered):
+            # Which of the equal values the quantile picks, and their
+            # bits, depend on the input order: use the values as stored.
+            numeric = values.astype(np.float64)
         min_value = float(numeric.min())
         max_value = float(numeric.max())
         buckets = min(histogram_buckets, max(len(numeric) // 2, 1))
@@ -225,9 +239,9 @@ def analyze_column(
         bounds = np.quantile(numeric, quantiles)
         histogram = Histogram(bounds=bounds)
     elif column.sql_type is SqlType.TEXT:
-        # np.unique returns sorted values, so the ends are min and max.
-        min_value = str(uniques[0])
-        max_value = str(uniques[-1])
+        # The distinct texts are sorted, so the ends are min and max.
+        min_value = uniques[0]
+        max_value = uniques[-1]
     else:  # BOOLEAN
         min_value = bool(values.min())
         max_value = bool(values.max())
@@ -242,6 +256,38 @@ def analyze_column(
         histogram=histogram,
         row_count=total,
     )
+
+
+def _sorted_unique_counts(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_counts=True)`` given ``np.sort(values)``.
+
+    The same sort numpy's ``unique`` runs, then its run detection: equal
+    neighbours start no new run, and every NaN joins the first one.
+    """
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    if ordered.dtype.kind == "f" and len(ordered) and np.isnan(ordered[-1]):
+        first_nan = int(np.searchsorted(ordered, ordered[-1], side="left"))
+        if first_nan > 0:
+            starts[1:first_nan] = ordered[1:first_nan] != ordered[: first_nan - 1]
+        starts[first_nan] = True
+        starts[first_nan + 1 :] = False
+    else:
+        starts[1:] = ordered[1:] != ordered[:-1]
+    bounds = np.concatenate(np.nonzero(starts) + ([len(ordered)],))
+    return ordered[starts], np.diff(bounds)
+
+
+def _order_ambiguous(values: np.ndarray, ordered: np.ndarray) -> bool:
+    """Whether float *values* (sorted: *ordered*) hold a NaN, or zeros of
+    both signs: equal values whose bits differ.  numpy's vectorized sort
+    need not keep those bits (it can turn a 0.0 into -0.0)."""
+    if values.dtype.kind != "f":
+        return False
+    if np.isnan(ordered[-1]):
+        return True
+    negative = np.signbit(values[values == 0.0])
+    return bool(negative.any() and not negative.all())
 
 
 def join_selectivity(left: ColumnStats | None, right: ColumnStats | None) -> float:

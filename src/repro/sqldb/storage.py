@@ -103,10 +103,35 @@ class Column:
         return Column(self.name, self.sql_type, data, mask)
 
     @staticmethod
-    def from_values(name: str, sql_type: SqlType, values: Sequence) -> "Column":
-        """Build a column from a Python sequence, treating ``None`` as NULL."""
-        nulls = np.array([v is None for v in values], dtype=bool)
+    def from_values(
+        name: str,
+        sql_type: SqlType,
+        values: Sequence,
+        nulls: np.ndarray | None = None,
+    ) -> "Column":
+        """Build a column from a Python sequence, treating ``None`` as NULL.
+
+        A numpy array that :func:`_casts_whole` accepts is cast in one
+        call; any other goes through its ``tolist()``.  The column is the
+        same either way.  *nulls*, a boolean array as long as *values*,
+        marks more NULL rows, as if their values were ``None``.
+        """
         dtype = sql_type.numpy_dtype
+        if nulls is not None:
+            nulls = np.asarray(nulls, dtype=bool)
+            if len(nulls) != len(values):
+                raise ValueError("null mask length mismatch")
+        if isinstance(values, np.ndarray):
+            if _casts_whole(values, dtype):
+                data = values.astype(dtype)
+                if nulls is None or not nulls.any():
+                    return Column(name, sql_type, data)
+                data[nulls] = None if dtype == np.dtype(object) else 0
+                return Column(name, sql_type, data, nulls.copy())
+            values = values.tolist()
+        if nulls is not None:
+            values = [None if null else v for v, null in zip(values, nulls)]
+        nulls = np.array([v is None for v in values], dtype=bool)
         if dtype == np.dtype(object):
             data = np.array(list(values), dtype=object)
         else:
@@ -115,6 +140,28 @@ class Column:
             data = np.array(cleaned, dtype=dtype)
         mask = nulls if nulls.any() else None
         return Column(name, sql_type, data, mask)
+
+
+def _casts_whole(values: np.ndarray, dtype: np.dtype) -> bool:
+    """Whether ``values.astype(dtype)`` is the array the list path builds
+    from ``values.tolist()``.
+
+    True for a 1-D array of fixed-width unicode into TEXT's object dtype
+    (each element becomes a ``str``), of bools into BOOLEAN, and of
+    integers narrower than uint64 or floats up to float64 into a numeric
+    dtype (floats into DOUBLE only).  Anything else, such as an object
+    array, uint64 or floats into INTEGER, takes the list path.
+    """
+    if values.ndim != 1:
+        return False
+    kind, size = values.dtype.kind, values.dtype.itemsize
+    if dtype == np.dtype(object):
+        return kind == "U"
+    if dtype == np.dtype(np.bool_):
+        return kind == "b"
+    if kind == "i" or (kind == "u" and size < 8):
+        return True
+    return kind == "f" and size <= 8 and dtype == np.dtype(np.float64)
 
 
 @dataclass
@@ -221,10 +268,16 @@ class Table:
         name: str,
         data: Mapping[str, Sequence],
         types: Mapping[str, SqlType],
+        nulls: Mapping[str, np.ndarray] | None = None,
     ) -> "Table":
-        """Build a table from ``{column: values}`` with explicit types."""
+        """Build a table from ``{column: values}`` with explicit types.
+
+        *nulls* optionally maps a column to the boolean mask of its further
+        NULL rows (see :meth:`Column.from_values`).
+        """
+        nulls = nulls or {}
         columns = [
-            Column.from_values(col, types[col], values)
+            Column.from_values(col, types[col], values, nulls.get(col))
             for col, values in data.items()
         ]
         return Table(name, columns)
