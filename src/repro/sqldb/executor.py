@@ -63,11 +63,17 @@ from .types import SqlType, date_to_days, days_to_date
 
 @dataclass
 class _Frame:
-    """An intermediate result: qualified columns plus aggregate side-band."""
+    """An intermediate result: qualified columns plus aggregate side-band.
+
+    A base-table scan carries only the columns its plan reads;
+    *dropped_row_bytes* is the per-row size of those it left out, so the
+    governor is charged the bytes of full rows, as if it carried them all.
+    """
 
     columns: dict[str, Column]
     row_count: int
     aggregate_values: dict[int, Vec] = field(default_factory=dict)
+    dropped_row_bytes: int = 0
 
     def context(self, params: Params) -> EvalContext:
         vectors = {name: Vec.from_column(col) for name, col in self.columns.items()}
@@ -85,7 +91,9 @@ class _Frame:
             )
             for key, vec in self.aggregate_values.items()
         }
-        return _Frame(columns, int(keep.sum()), aggregates)
+        return _Frame(
+            columns, int(keep.sum()), aggregates, self.dropped_row_bytes
+        )
 
     def take(self, indices: np.ndarray) -> "_Frame":
         columns = {name: col.take(indices) for name, col in self.columns.items()}
@@ -97,7 +105,9 @@ class _Frame:
             )
             for key, vec in self.aggregate_values.items()
         }
-        return _Frame(columns, len(indices), aggregates)
+        return _Frame(
+            columns, len(indices), aggregates, self.dropped_row_bytes
+        )
 
 
 class Executor:
@@ -249,10 +259,12 @@ class Executor:
         params: Params,
     ) -> _Frame:
         data = self._catalog.data(node.table_name)
-        columns = {
-            f"{node.binding}.{col.name}": col for col in data.columns
-        }
-        frame = _Frame(columns, data.row_count)
+        frame = _Frame({}, data.row_count)
+        for col in data.columns:
+            if node.reads is None or col.name in node.reads:
+                frame.columns[f"{node.binding}.{col.name}"] = col
+            else:
+                frame.dropped_row_bytes += col.row_bytes
         return self._apply_filter(frame, node.filter, params)
 
     def _run_subquery_scan(self, node: SubqueryScanNode, params: Params) -> _Frame:
@@ -338,9 +350,13 @@ class Executor:
                 aggregates[id(call)] = _compute_aggregate(
                     call, codes, num_groups, context
                 )
-        frame = child.take(representatives)
-        frame.aggregate_values = aggregates
-        frame.row_count = num_groups
+        if len(representatives) == num_groups:
+            frame = child.take(representatives)
+            frame.aggregate_values = aggregates
+        else:
+            # A global aggregate over no rows: its one group has no
+            # representative row, so no column value for HAVING to filter.
+            frame = _Frame({}, num_groups, aggregates)
         if node.having is not None:
             keep = truthy(evaluate(node.having, frame.context(params)))
             frame = frame.filter(keep)
@@ -762,8 +778,10 @@ def _reject_nulls(meta, column_name: str, values: list) -> None:
 
 
 def _frame_bytes(frame: _Frame) -> int:
-    """Estimated bytes held by a materialized frame (governor accounting)."""
-    return sum(col.estimated_bytes for col in frame.columns.values())
+    """Estimated bytes held by a materialized frame (governor accounting),
+    the columns its scans left out included."""
+    carried = sum(col.estimated_bytes for col in frame.columns.values())
+    return carried + frame.row_count * frame.dropped_row_bytes
 
 
 def _row_bytes(frame: _Frame) -> int:
@@ -865,7 +883,11 @@ def _combine_frames(left: _Frame, right: _Frame) -> _Frame:
         if name in columns:
             raise ExecutionError(f"duplicate column binding {name!r} in join")
         columns[name] = col
-    return _Frame(columns, left.row_count)
+    return _Frame(
+        columns,
+        left.row_count,
+        dropped_row_bytes=left.dropped_row_bytes + right.dropped_row_bytes,
+    )
 
 
 def _append_unmatched(

@@ -31,11 +31,17 @@ class PlanNode:
 
 @dataclass
 class SeqScanNode(PlanNode):
-    """Full sequential scan of a base table with an optional pushed filter."""
+    """Full sequential scan of a base table with an optional pushed filter.
+
+    *reads* names the columns the scan carries into its frame, those some
+    expression of the statement's plan reads, as the planner found them
+    once per prepared statement; None carries every column.
+    """
 
     table_name: str = ""
     binding: str = ""
     filter: Optional[ast.Expression] = None
+    reads: Optional[frozenset[str]] = None
 
     @property
     def node_type(self) -> str:
@@ -48,13 +54,15 @@ class SeqScanNode(PlanNode):
 
 @dataclass
 class IndexScanNode(PlanNode):
-    """B-tree index scan driven by one indexable conjunct."""
+    """B-tree index scan driven by one indexable conjunct (*reads* as for
+    :class:`SeqScanNode`)."""
 
     table_name: str = ""
     binding: str = ""
     index_name: str = ""
     index_column: str = ""
     filter: Optional[ast.Expression] = None
+    reads: Optional[frozenset[str]] = None
 
     @property
     def node_type(self) -> str:

@@ -145,10 +145,29 @@ class _JoinCondition:
 
 @dataclass
 class _QueryContext:
-    """Per-statement planning state."""
+    """Per-statement planning state.
+
+    *reads* holds the columns the statement's expressions read, by binding,
+    and its bare (unqualified) column names under None; None makes every
+    scan carry every column.  The expressions are the bound statement's
+    clauses (select items with the star expansion, WHERE, HAVING, GROUP BY
+    and ORDER BY keys, join conditions): the very ones the plan's nodes
+    hold as scan filters, join keys and residuals, filters, group keys,
+    aggregate calls, HAVING, sort keys (below the projection) and
+    projection items.  Subqueries are plans of their own.
+    """
 
     catalog: Catalog
     binding_tables: dict[str, str] = field(default_factory=dict)
+    reads: dict[str | None, set[str]] | None = None
+
+    def scan_reads(self, binding: str) -> frozenset[str] | None:
+        """The columns a scan of *binding* carries: those read qualified by
+        it, and every bare name, which ``EvalContext.column``'s fallback
+        may resolve to this binding (or find ambiguous)."""
+        if self.reads is None:
+            return None
+        return frozenset(self.reads.get(binding, ())).union(self.reads.get(None, ()))
 
     def resolve(self, binding: str | None, column: str):
         if binding is None or binding not in self.binding_tables:
@@ -253,8 +272,9 @@ class Planner:
                 for j in statement.from_clause.walk()
                 if isinstance(j, ast.Join) and j.condition is not None
             )
-        subqueries = self._prepare_subqueries(clauses)
-        body = self._prepare_body(bound, _QueryContext(self._catalog))
+        reads: dict[str | None, set[str]] = {}
+        subqueries = self._prepare_subqueries(clauses, reads)
+        body = self._prepare_body(bound, _QueryContext(self._catalog, reads=reads))
 
         def build(ctx) -> Plan:
             subplans = _plan_subqueries(subqueries, ctx)
@@ -419,10 +439,14 @@ class Planner:
     # -- subquery expressions ---------------------------------------------------
 
     def _prepare_subqueries(
-        self, clauses: list[ast.Expression]
+        self,
+        clauses: list[ast.Expression],
+        reads: dict[str | None, set[str]] | None = None,
     ) -> dict[int, tuple[str, PlanSkeleton]]:
         """Skeletons of the subquery expressions reachable from *clauses*,
-        keyed by expression identity like :attr:`Plan.subplans`."""
+        keyed by expression identity like :attr:`Plan.subplans`.  The same
+        walk adds each column reference it meets to *reads*, when given
+        (see :class:`_QueryContext`)."""
         subqueries: dict[int, tuple[str, PlanSkeleton]] = {}
         for clause in clauses:
             for node in shallow_walk(clause):
@@ -431,6 +455,8 @@ class Planner:
                     subqueries[id(node)] = (
                         kind, self._prepare_nested(node.subquery)
                     )
+                elif reads is not None and type(node) is ast.ColumnRef:
+                    reads.setdefault(node.table, set()).add(node.column)
         return subqueries
 
     # -- main body ---------------------------------------------------------------
@@ -452,6 +478,10 @@ class Planner:
         where_conjuncts = split_conjuncts(statement.where)
         where = None
         if _has_outer_join(statement.from_clause):
+            # An outer join pads unmatched rows with NULLs, and the null
+            # mask that adds depends on the data: a frame that left columns
+            # out would no longer stand for the full one's bytes.
+            context.reads = None
             source, _ = self._prepare_join_tree(statement.from_clause, context)
             if where_conjuncts:
                 where = self._prepare_filter(conjoin(where_conjuncts), context)
@@ -525,6 +555,7 @@ class Planner:
         binding = ref.binding_name
         context.binding_tables[binding] = ref.name
         filter_expr = conjoin(pushed)
+        reads = context.scan_reads(binding)
         selectivity = estimate_selectivity(filter_expr, context.resolve)
         qual_ops = count_operators(filter_expr)
         # Index candidates: (index, column, the constant the column is
@@ -550,6 +581,7 @@ class Planner:
                 table_name=ref.name,
                 binding=binding,
                 filter=filter_expr,
+                reads=reads,
             )
             best_index: IndexScanNode | None = None
             for index, column, constant, index_sel in candidates:
@@ -567,6 +599,7 @@ class Planner:
                         index_name=index.name,
                         index_column=column,
                         filter=filter_expr,
+                        reads=reads,
                     )
             if best_index is not None and best_index.cost.total < best.cost.total:
                 best = best_index

@@ -11,6 +11,7 @@ values.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -62,7 +63,16 @@ class Histogram:
         bucket = bisect_right(bounds, value) - 1
         bucket = min(bucket, self.num_buckets - 1)
         low, high = bounds[bucket], bounds[bucket + 1]
-        within = 0.5 if high <= low else (value - low) / (high - low)
+        if high <= low:
+            within = 0.5
+        elif low == -math.inf:
+            # An infinitely wide bucket: the interpolation's limit.  All of
+            # a -inf end's rows are below a finite value, a +inf end's above.
+            within = 0.5 if high == math.inf else 1.0
+        elif high == math.inf:
+            within = 0.0
+        else:
+            within = (value - low) / (high - low)
         return (bucket + within) / self.num_buckets
 
     def fraction_between(self, low: float, high: float) -> float:
@@ -236,8 +246,7 @@ def analyze_column(
         max_value = float(numeric.max())
         buckets = min(histogram_buckets, max(len(numeric) // 2, 1))
         quantiles = np.linspace(0.0, 1.0, buckets + 1)
-        bounds = np.quantile(numeric, quantiles)
-        histogram = Histogram(bounds=bounds)
+        histogram = Histogram(bounds=_quantile_bounds(numeric, quantiles))
     elif column.sql_type is SqlType.TEXT:
         # The distinct texts are sorted, so the ends are min and max.
         min_value = uniques[0]
@@ -256,6 +265,36 @@ def analyze_column(
         histogram=histogram,
         row_count=total,
     )
+
+
+def _quantile_bounds(numeric: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """``np.quantile(numeric, quantiles)``, with no NaN unless *numeric*
+    holds one.
+
+    numpy interpolates as ``a + (b - a)·t`` (``b - (b - a)·(1 - t)`` for
+    ``t >= 0.5``), which gives NaN where it meets an infinity: ``inf - inf``
+    or ``inf·0``.  Such a bound becomes the interpolation's limit: the
+    order statistic ``a`` when ``t = 0``, else the infinite endpoint, and
+    between ``-inf`` and ``+inf`` the one numpy's lerp starts from.  Every
+    other bound is numpy's, bit for bit.
+    """
+    # The lerp's inf - inf and inf·0 are mended below; a span wider than
+    # the largest double overflows to an infinite bound, as numpy gives it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        bounds = np.quantile(numeric, quantiles)
+    broken = np.isnan(bounds)
+    if not broken.any() or np.isnan(numeric).any():
+        return bounds
+    ordered = np.sort(numeric)
+    virtual = (len(ordered) - 1) * quantiles[broken]
+    below = np.floor(virtual)
+    t = virtual - below
+    index = below.astype(np.intp)
+    a = ordered[index]
+    b = ordered[np.minimum(index + 1, len(ordered) - 1)]
+    take_a = (t == 0) | np.where(t < 0.5, np.isinf(a), ~np.isinf(b))
+    bounds[broken] = np.where(take_a, a, b)
+    return bounds
 
 
 def _sorted_unique_counts(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

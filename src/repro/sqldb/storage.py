@@ -76,12 +76,19 @@ class Column:
         the pointer array, since measuring each object would cost more than
         the accounting is worth.
         """
-        total = int(self.data.nbytes)
+        return self.row_bytes * len(self.data)
+
+    @property
+    def row_bytes(self) -> int:
+        """:attr:`estimated_bytes` per row.  ``take`` and ``filter`` keep
+        the dtype and whether a mask exists, so any gather of this column
+        is estimated at its row count times this."""
+        size = self.data.itemsize
         if self.data.dtype == object:
-            total += _OBJECT_PAYLOAD_BYTES * len(self.data)
+            size += _OBJECT_PAYLOAD_BYTES
         if self.null_mask is not None:
-            total += int(self.null_mask.nbytes)
-        return total
+            size += self.null_mask.itemsize
+        return size
 
     def append(self, other: "Column") -> "Column":
         """This column followed by *other*'s rows (same type, new arrays)."""

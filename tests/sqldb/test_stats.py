@@ -142,6 +142,89 @@ class TestHistogram:
         assert hist.fraction_below(1.0) == 0.5
 
 
+def double_column(values):
+    return Column("x", SqlType.DOUBLE, np.array(values, dtype=np.float64))
+
+
+class TestInfiniteValues:
+    """ANALYZE of a DOUBLE column holding an infinity: np.quantile's
+    interpolation meets ``inf - inf`` or ``inf * 0`` there, and the bound
+    must be its limit instead of NaN."""
+
+    def test_bounds_take_the_limit(self):
+        inf = np.inf
+        bounds = analyze_column(double_column([-inf, 1, 2, 3, inf])).histogram.bounds
+        assert bounds.tolist() == [-inf, 2.0, inf]
+        bounds = analyze_column(double_column([1, 2, 3, inf])).histogram.bounds
+        assert bounds.tolist() == [1.0, 2.5, inf]
+        values = list(np.arange(200.0)) + [inf, -inf]
+        bounds = analyze_column(double_column(values)).histogram.bounds
+        assert len(bounds) == 101 and not np.isnan(bounds).any()
+        assert bounds[0] == -inf and bounds[-1] == inf
+        # From -inf to +inf: the endpoint numpy's lerp starts from, a below
+        # t = 0.5 (the third bound, t = 1/3) and b from it on (t = 0.5).
+        bounds = analyze_column(double_column([-inf] * 4 + [inf] * 2)).histogram.bounds
+        assert bounds.tolist() == [-inf, -inf, -inf, inf]
+        bounds = analyze_column(double_column([-inf, -inf, inf, inf])).histogram.bounds
+        assert bounds.tolist() == [-inf, inf, inf]
+
+    def test_an_overflowing_span_is_not_nan(self):
+        bounds = analyze_column(double_column([-1e308, 1e308])).histogram.bounds
+        assert bounds.tolist() == [-1e308, 1e308]
+
+    def test_range_selectivity_is_a_fraction(self):
+        stats = analyze_column(double_column([-np.inf, 1, 2, 3, np.inf]))
+        for op in ("<", "<=", ">", ">="):
+            sel = stats.range_selectivity(op, 1.5)
+            assert np.isfinite(sel) and 0.0 <= sel <= 1.0
+        assert stats.range_selectivity("<", 1.5) == pytest.approx(0.5)
+        assert 0.0 <= stats.between_selectivity(0.0, 2.5) <= 1.0
+
+    def test_infinite_buckets_interpolate_to_their_limit(self):
+        hist = Histogram(bounds=np.array([-np.inf, 0.0, np.inf]))
+        assert hist.fraction_below(-5.0) == 0.5  # all of the -inf end below
+        assert hist.fraction_below(5.0) == 0.5  # all of the +inf end above
+        assert Histogram(bounds=np.array([-np.inf, np.inf])).fraction_below(3.0) == 0.5
+
+    @given(
+        st.lists(
+            st.one_of(
+                # Finite values far from overflow: a span wider than the
+                # largest double interpolates to ±inf, not NaN, in numpy.
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.sampled_from([np.inf, -np.inf]),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_nan_unless_a_nan_value(self, values):
+        stats = analyze_column(double_column(values))
+        bounds = stats.histogram.bounds
+        assert not np.isnan(bounds).any()
+        assert (bounds[1:] >= bounds[:-1]).all()
+        for probe in (-1e300, -1.0, 0.0, 0.5, 1e300, values[0]):
+            for op in ("<", "<=", ">", ">="):
+                sel = stats.range_selectivity(op, probe)
+                assert np.isfinite(sel) and 0.0 <= sel <= 1.0
+
+    def test_a_nan_value_still_gives_nan(self):
+        bounds = analyze_column(double_column([np.nan, 1.0, np.inf])).histogram.bounds
+        assert np.isnan(bounds).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_finite_columns_keep_numpys_bounds(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 10.0 ** rng.uniform(-3, 6), int(rng.integers(1, 500)))
+        values[rng.random(len(values)) < 0.2] = 0.0
+        values[rng.random(len(values)) < 0.1] = -0.0
+        stats = analyze_column(double_column(values))
+        buckets = min(100, max(len(values) // 2, 1))
+        expected = np.quantile(values, np.linspace(0.0, 1.0, buckets + 1))
+        assert stats.histogram.bounds.tobytes() == expected.tobytes()
+
+
 class TestLikeSelectivity:
     def test_all_wildcard_is_one(self):
         assert like_selectivity("%") == 1.0

@@ -1,9 +1,9 @@
 """What a fresh ``repro`` process imports.
 
-scipy.stats (for two normal-distribution functions) and networkx (to list
-FK edges) were most of a cold start's time and memory.  Neither may be
-imported by ``import repro.cli``, nor by a generate run that samples join
-paths and runs Bayesian optimization.
+scipy (for one function, the normal cdf) and networkx (to list FK edges)
+were most of a cold start's time and memory.  No scipy module and no
+networkx may be imported by ``import repro.cli``, nor by a generate run
+that samples join paths and runs Bayesian optimization.
 """
 
 from __future__ import annotations
@@ -18,10 +18,14 @@ import repro
 
 SCRIPT = r"""
 import json, sys
-heavy = ("scipy.stats", "networkx")
+def heavy():
+    return sorted(
+        name for name in sys.modules
+        if name in ("scipy", "networkx") or name.startswith(("scipy.", "networkx."))
+    )
 loaded = {}
 import repro.cli
-loaded["import"] = [name for name in heavy if name in sys.modules]
+loaded["import"] = heavy()
 from collections import Counter
 import repro.bo.optimizer as optimizer
 import repro.core.template_generator as generator
@@ -42,7 +46,7 @@ result = barber.generate_workload(
     [TemplateSpec(spec_id="join", num_joins=1)],
     CostDistribution.uniform(0.0, 2000.0, 6, 2),
 )
-loaded["generate"] = [name for name in heavy if name in sys.modules]
+loaded["generate"] = heavy()
 loaded["queries"] = len(result.workload.queries)
 loaded["calls"] = calls
 print(json.dumps(loaded))
