@@ -57,6 +57,7 @@ from repro.resilience.chaos import (
     SERVICE_SCENARIOS,
     run_chaos_campaign,
 )
+from repro.resilience.lock import LockHeld
 from repro.workload import CostDistribution, TemplateSpec
 
 logger = logging.getLogger("repro.cli")
@@ -460,7 +461,8 @@ def cmd_generate(args) -> int:
     Stdout carries exactly one JSON summary object; the target histogram and
     progress diagnostics go to the logger (stderr).  Exit code 0 for a
     complete run, 1 for an incomplete one, and 2 (one line on stderr) for
-    arguments that make no target distribution or no valid configuration.
+    arguments that make no target distribution or no valid configuration,
+    and for a ``--checkpoint-dir`` another run holds.
     """
     try:
         distribution = _build_distribution(args)
@@ -487,11 +489,15 @@ def cmd_generate(args) -> int:
         db, config=config, sinks=_telemetry_sinks(args.trace_out)
     )
     subscribers = [ProgressRenderer(sys.stderr)] if args.progress else []
-    result = barber.generate_workload(
-        specs, distribution, time_budget_seconds=args.time_budget,
-        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-        subscribers=subscribers,
-    )
+    try:
+        result = barber.generate_workload(
+            specs, distribution, time_budget_seconds=args.time_budget,
+            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+            subscribers=subscribers,
+        )
+    except LockHeld as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     logger.info(
         "generated %d/%d queries in %.1fs; Wasserstein distance %.2f; "
         "templates %d; LLM tokens %d",
@@ -700,6 +706,8 @@ def cmd_serve(args) -> int:
     Retry-After), every in-flight job stops at its next durable checkpoint
     and is recorded CHECKPOINTED (resumable), queued jobs stay accountable
     in the job table.  The drain summary is printed as JSON on stdout.
+    A ``--state-dir`` that a live service holds exits 2 with one line on
+    stderr.
     """
     import asyncio
     import signal
@@ -721,9 +729,13 @@ def cmd_serve(args) -> int:
     )
     if args.state_dir:
         # Durable mode: replay whatever a previous lifetime journaled.
-        # A dead holder's lock is taken over via its staleness rules; a
-        # *live* one raises LockHeld — one service per state dir.
-        core = ServeCore.recover(config)
+        # A dead holder's lock died with its process; a *live* one makes
+        # this exit 2 before any port is bound — one service per state dir.
+        try:
+            core = ServeCore.recover(config)
+        except LockHeld as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
         recovery = core.recovery or {}
         logger.info(
             "recovered state dir %s: %d record(s) replayed, "

@@ -312,8 +312,8 @@ class SQLBarber:
             run_telemetry.finish()
             # Release the checkpoint-directory lock on every exit path —
             # including chaos InjectedCrash (a BaseException).  A *real*
-            # process death skips this, leaving a lockfile with a dead pid
-            # that the next acquire detects and takes over.
+            # process death skips this; the kernel drops the lock with the
+            # process.
             if manager is not None:
                 manager.close()
         result.telemetry = run_telemetry

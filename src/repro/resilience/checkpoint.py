@@ -382,10 +382,10 @@ class CheckpointManager:
 
     With *lock_owner* set, construction acquires a
     :class:`~repro.resilience.lock.DirectoryLock` on the directory
-    (raising :class:`~repro.resilience.lock.LockHeld` if another live
-    holder has it), each save refreshes the lock heartbeat, and
-    :meth:`close` releases it.  A holder that died without releasing is
-    taken over automatically — dead pid or expired heartbeat.
+    (raising :class:`~repro.resilience.lock.LockHeld` while another
+    holder has it) and :meth:`close` releases it; saves do no lock I/O.
+    A holder that died without releasing holds nothing: the kernel
+    dropped its lock with its process.
     """
 
     def __init__(
@@ -430,8 +430,6 @@ class CheckpointManager:
         self._state = body
         self._records += 1
         self.saves += 1
-        if self.lock is not None and self.lock.held:
-            self.lock.heartbeat()
         from repro.obs import current as current_telemetry
 
         telemetry = current_telemetry()

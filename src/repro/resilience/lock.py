@@ -1,31 +1,37 @@
-"""Advisory file locks for checkpoint directories.
+"""One-holder advisory locks on directories: the kernel's ``flock``.
 
-Two processes resuming the same checkpoint directory would interleave
-``os.replace`` writes and race each other's reads — each write is atomic,
-but the *run* is not, and the loser silently clobbers the winner's
-progress.  :class:`DirectoryLock` makes ownership explicit: one JSON
-lockfile per directory, created with ``O_CREAT | O_EXCL`` (the classic
-atomic-create idiom), holding the owner label, pid, a per-process token,
-and a wall-clock heartbeat.
+Two processes resuming the same checkpoint directory, or two services
+journaling into one state directory, would interleave their writes —
+each write is atomic, but the *run* is not, and the loser silently
+clobbers the winner's progress.  :class:`DirectoryLock` makes ownership
+explicit: ``acquire`` opens ``<dir>/lock.json`` and takes
+``flock(LOCK_EX | LOCK_NB)`` on that descriptor, and ``release`` closes
+it.  The kernel drops the lock when its holder's process dies, however
+it dies, and never while the holder lives, so nothing here checks
+liveness or takes a lock over.
 
-Stale locks are taken over, not waited on.  A lock is stale when its
-holder's pid is dead (``kill -0`` fails), its heartbeat is older than
-``stale_after_seconds``, or the file is unreadable.  Takeover is
-replace-then-verify: write our payload over the file, read it back, and
-only claim victory if our token survived — two simultaneous stealers
-resolve to exactly one winner.
+``flock``, not ``fcntl.lockf``: a flock belongs to the open file
+description, so two :class:`DirectoryLock` objects in one process
+exclude each other (serve's worker threads and two in-process
+recoveries rely on that).  POSIX record locks are per process: they
+would not, and closing *any* descriptor of the file would drop them.
 
-The lockfile carries wall-clock time but lives outside every report and
-fingerprint, so determinism guarantees are unaffected.
+The file is never unlinked.  Unlinking on release would let a contender
+that opened the old inode lock it while a newcomer creates and locks a
+new file — two holders.  So whether ``lock.json`` exists means nothing;
+its content, ``{"owner", "pid"}`` of the last holder, is diagnostics
+for :class:`LockHeld`.
+
+Descriptors are non-inheritable, so an exec'd child never holds the
+lock; a ``fork()`` without exec shares the open file description, and
+with it a held lock, with the child.
 """
 
 from __future__ import annotations
 
-import itertools
+import fcntl
 import json
 import os
-import threading
-import time
 from pathlib import Path
 
 
@@ -36,8 +42,9 @@ class LockError(Exception):
 class LockHeld(LockError):
     """The directory is locked by a live holder.
 
-    ``holder`` is the lockfile payload (owner, pid, token, heartbeat) so
-    callers can report *who* holds the lock, not just that someone does.
+    ``holder`` is the lockfile payload (owner, pid; ``{}`` when
+    unreadable) so callers can report *who* holds the lock, not just
+    that someone does.
     """
 
     def __init__(self, path: Path, holder: dict):
@@ -45,64 +52,30 @@ class LockHeld(LockError):
         self.holder = holder
         super().__init__(
             f"{path} is held by owner={holder.get('owner')!r} "
-            f"pid={holder.get('pid')} (heartbeat age "
-            f"{time.time() - float(holder.get('heartbeat_unix', 0.0)):.1f}s)"
+            f"pid={holder.get('pid')}"
         )
 
 
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    except OSError:
-        return False
-    return True
-
-
-_TOKEN_COUNTER = itertools.count(1)
-_TOKEN_LOCK = threading.Lock()
-
-
-def _new_token() -> str:
-    with _TOKEN_LOCK:
-        return f"{os.getpid()}.{next(_TOKEN_COUNTER)}"
-
-
 class DirectoryLock:
-    """One-holder advisory lock over a directory, as a JSON lockfile.
+    """One-holder advisory lock over a directory.
 
     Usage::
 
-        with DirectoryLock(ckpt_dir, owner="worker-3") as lock:
+        with DirectoryLock(ckpt_dir, owner="worker-3"):
             ...          # exclusive access to the directory
-            lock.heartbeat()   # refresh liveness during long work
 
-    ``acquire`` raises :class:`LockHeld` when a live holder exists; stale
-    holders (dead pid, expired heartbeat, corrupt file) are taken over
-    silently, with the takeover reason recorded on ``self.takeover_reason``.
-    ``release`` is safe to call from ``finally`` blocks: releasing a lock
-    that was already lost (stolen after our heartbeat expired) is a no-op,
-    never an exception — the new holder's file must not be deleted.
+    ``acquire`` raises :class:`LockHeld` while any other holder — in this
+    process or another — has the lock, and never waits.  ``release`` is
+    safe to call from ``finally`` blocks: releasing a lock that is not
+    held is a no-op, never an exception.
     """
 
     LOCK_NAME = "lock.json"
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        owner: str = "anonymous",
-        stale_after_seconds: float = 300.0,
-    ):
+    def __init__(self, directory: str | os.PathLike, owner: str = "anonymous"):
         self.directory = Path(directory)
         self.owner = owner
-        self.stale_after_seconds = float(stale_after_seconds)
-        self.token: str | None = None
-        self.takeover_reason: str | None = None
+        self._fd: int | None = None
 
     @property
     def path(self) -> Path:
@@ -110,139 +83,48 @@ class DirectoryLock:
 
     @property
     def held(self) -> bool:
-        return self.token is not None
+        return self._fd is not None
 
-    # -- payload helpers ------------------------------------------------------------
-
-    def _payload(self) -> dict:
-        return {
-            "owner": self.owner,
-            "pid": os.getpid(),
-            "token": self.token,
-            "heartbeat_unix": time.time(),
-        }
-
-    def read_holder(self) -> dict | None:
-        """The current lockfile payload, or None when unlocked/unreadable."""
+    def read_holder(self) -> dict:
+        """The last holder's payload, or ``{}`` when absent or unreadable."""
         try:
-            return json.loads(self.path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return {"corrupt": True}
-
-    def _staleness(self, holder: dict) -> str | None:
-        """Why *holder* is stale, or None if it must be honored."""
-        if holder.get("corrupt"):
-            return "corrupt lockfile"
-        try:
-            pid = int(holder.get("pid", -1))
-        except (TypeError, ValueError):
-            return "corrupt lockfile"
-        if not _pid_alive(pid):
-            return f"holder pid {pid} is dead"
-        try:
-            age = time.time() - float(holder.get("heartbeat_unix", 0.0))
-        except (TypeError, ValueError):
-            return "corrupt lockfile"
-        if age > self.stale_after_seconds:
-            return f"heartbeat is {age:.1f}s old (limit {self.stale_after_seconds}s)"
-        return None
-
-    def _write_over(self) -> None:
-        """Replace the lockfile with our payload (atomic tmp + replace)."""
-        tmp = self.path.with_suffix(f".tmp.{self.token}")
-        tmp.write_text(json.dumps(self._payload(), sort_keys=True))
-        os.replace(tmp, self.path)
-
-    # -- the lock protocol ----------------------------------------------------------
+            holder = json.loads(self.path.read_bytes())
+        except (OSError, ValueError):
+            return {}
+        return holder if isinstance(holder, dict) else {}
 
     def acquire(self) -> "DirectoryLock":
         if self.held:
             raise LockError(f"{self.path} already acquired by this object")
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.token = _new_token()
-        self.takeover_reason = None
+        payload = json.dumps(
+            {"owner": self.owner, "pid": os.getpid()}, sort_keys=True
+        ).encode()
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            holder = self.read_holder()
-            if holder is None:
-                # Deleted between our create attempt and the read — retry
-                # the exclusive create once; a second loss means real
-                # contention.
-                try:
-                    fd = os.open(
-                        self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                    )
-                except FileExistsError:
-                    holder = self.read_holder() or {"corrupt": True}
-                else:
-                    return self._finish_create(fd)
-            reason = self._staleness(holder)
-            if reason is None:
-                self.token = None
-                raise LockHeld(self.path, holder)
-            # Takeover: replace, then verify our token survived the race.
-            self._write_over()
-            survived = self.read_holder()
-            if not survived or survived.get("token") != self.token:
-                self.token = None
-                raise LockHeld(self.path, survived or holder)
-            self.takeover_reason = reason
-            return self
-        else:
-            return self._finish_create(fd)
-
-    def _finish_create(self, fd: int) -> "DirectoryLock":
-        try:
-            os.write(fd, json.dumps(self._payload(), sort_keys=True).encode())
-        finally:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise LockHeld(self.path, self.read_holder()) from None
+            os.ftruncate(fd, 0)
+            os.write(fd, payload)
+        except BaseException:
             os.close(fd)
+            raise
+        self._fd = fd
         return self
 
-    def heartbeat(self) -> None:
-        """Refresh the heartbeat so a long-running holder never looks stale."""
-        if not self.held:
-            raise LockError(f"cannot heartbeat {self.path}: lock not held")
-        current = self.read_holder()
-        if not current or current.get("token") != self.token:
-            self.token = None
-            raise LockError(
-                f"lost {self.path}: lock was taken over while we held it"
-            )
-        self._write_over()
-
     def release(self) -> bool:
-        """Drop the lock.  True if our lockfile was removed.
+        """Drop the lock.  True if it was held.
 
-        Releasing a lock we no longer hold (stolen, or never acquired)
-        returns False instead of raising — release lives in ``finally``
-        blocks that must not mask the original exception.
+        Releasing a lock that is not held (never acquired, or already
+        released) returns False instead of raising — release lives in
+        ``finally`` blocks that must not mask the original exception.
         """
-        if not self.held:
+        if self._fd is None:
             return False
-        token, self.token = self.token, None
-        current = self.read_holder()
-        if not current or current.get("token") != token:
-            return False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            return False
-        return True
-
-    def break_lock(self) -> bool:
-        """Supervised force-break: remove the lockfile regardless of holder.
-
-        For callers that *know* the holder is gone through a channel the
-        lockfile cannot see (the serve core confirming a worker thread
-        died).  True if a lockfile was removed.
-        """
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            return False
+        fd, self._fd = self._fd, None
+        os.close(fd)
         return True
 
     def __enter__(self) -> "DirectoryLock":

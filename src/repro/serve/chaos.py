@@ -772,11 +772,7 @@ class RestartChaosRunner:
             )
             counts["attempted"] += 1
             copy = scratch / f"fault-{plan.index}-{kind}"
-            shutil.copytree(
-                state_dir,
-                copy,
-                ignore=shutil.ignore_patterns("lock.json"),
-            )
+            shutil.copytree(state_dir, copy)
             try:
                 injected = getattr(faults, kind)(copy)
                 if injected is None:

@@ -544,28 +544,24 @@ class ServeCore:
         config: ServeConfig,
         clock: Clock | None = None,
         *,
-        takeover: bool = False,
         on_append=None,
         track_appends: bool = False,
     ) -> "ServeCore":
         """A fresh core carrying the journaled state of a dead one.
 
-        Opens ``config.state_dir`` (acquiring its lock — a genuinely dead
-        previous holder is taken over via the lock's staleness rules;
-        *takeover* force-breaks it for in-process restart simulation),
-        loads the newest valid snapshot, replays newer journal segments
-        through the live :meth:`_apply`, then repairs what death
-        interrupted: tenant queued/running counts and the priority heap
-        are rebuilt from final job states, RUNNING jobs are requeued
-        through the crash-strike path, and CHECKPOINTED jobs are resumed
-        as QUEUED (a ``resumed`` commit).  Never raises for journal
-        damage — see ``core.recovery`` for what was quarantined.
+        Opens ``config.state_dir`` (acquiring its lock: a dead previous
+        holder's lock died with its process, a live one raises
+        :class:`~repro.resilience.lock.LockHeld`), loads the newest valid
+        snapshot, replays newer journal segments through the live
+        :meth:`_apply`, then repairs what death interrupted: tenant
+        queued/running counts and the priority heap are rebuilt from
+        final job states, RUNNING jobs are requeued through the
+        crash-strike path, and CHECKPOINTED jobs are resumed as QUEUED (a
+        ``resumed`` commit).  Never raises for journal damage — see
+        ``core.recovery`` for what was quarantined.
         """
         store = cls.open_store(
-            config,
-            takeover=takeover,
-            on_append=on_append,
-            track_appends=track_appends,
+            config, on_append=on_append, track_appends=track_appends
         )
         snapshot, records, quarantined = store.recover()
         core = cls(config, clock=clock, store=store)

@@ -8,8 +8,9 @@ is the storage half of that contract; :meth:`ServeCore.recover
 Layout of one state directory::
 
     state/
-      lock.json                 one live service per directory
-                                (:class:`~repro.resilience.lock.DirectoryLock`)
+      lock.json                 flock'd by the live service, one per
+                                directory; its content names the last
+                                holder (:class:`~repro.resilience.lock.DirectoryLock`)
       journal-000001.jsonl      append-only record segments
       journal-000002.jsonl
       snapshot-<hash>.json      compacted state (content-hashed, atomic)
@@ -66,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.resilience.lock import DirectoryLock, LockHeld
+from repro.resilience.lock import DirectoryLock
 from repro.resilience.records import content_hash, encode_record, read_records
 
 STORE_FORMAT_VERSION = 1
@@ -81,10 +82,9 @@ class JobStore:
     """Append-only journal + snapshots under one locked directory.
 
     Opening acquires the directory lock — one live service per state dir;
-    a second opener gets :class:`~repro.resilience.lock.LockHeld` (unless
-    *takeover* is set by a supervisor that knows the holder is dead, e.g.
-    the in-process restart chaos harness — a genuinely dead holder is
-    taken over through the lock's own staleness rules without it).
+    a second opener, in this process or another, gets
+    :class:`~repro.resilience.lock.LockHeld` for as long as the first is
+    open.  A holder that died holds nothing: the kernel dropped its lock.
 
     Appends always go to a segment this process created: recovery state
     is read-only history, so a crash mid-append can only tear *our* tail.
@@ -98,7 +98,6 @@ class JobStore:
         segment_max_records: int = 512,
         compact_after_segments: int = 4,
         owner: str = "serve",
-        takeover: bool = False,
         on_append=None,
         track_appends: bool = False,
     ):
@@ -123,14 +122,7 @@ class JobStore:
         self._track_appends = track_appends
         self._sizes: dict[str, int] = {}
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.lock = DirectoryLock(self.directory, owner=owner)
-        try:
-            self.lock.acquire()
-        except LockHeld:
-            if not takeover:
-                raise
-            self.lock.break_lock()
-            self.lock.acquire()
+        self.lock = DirectoryLock(self.directory, owner=owner).acquire()
         self._fd: int | None = None
         self._segment_index = self._max_segment_index()
         self._segment_records = 0

@@ -325,6 +325,18 @@ def is_dml(node: Node) -> bool:
     return isinstance(node, DML_STATEMENTS)
 
 
+def shallow_walk(expression: Node) -> Iterator[Node]:
+    """Walk an expression without descending into nested SELECTs."""
+    yield expression
+    if isinstance(expression, SelectStatement):
+        return
+    for child in expression.children():
+        if isinstance(child, SelectStatement):
+            yield child  # yield the statement itself but not its innards
+        else:
+            yield from shallow_walk(child)
+
+
 _NodeT = TypeVar("_NodeT", bound=Node)
 
 #: The common leaf types, which :func:`copy_tree` shares without calling

@@ -661,7 +661,7 @@ def _merge_types(a: SqlType, b: SqlType) -> SqlType:
 
 def _contains_aggregate_in_outputs(statement: ast.SelectStatement) -> bool:
     for item in statement.select_items:
-        for node in item.expression.walk():
+        for node in ast.shallow_walk(item.expression):
             if isinstance(node, ast.FunctionCall) and node.is_aggregate:
                 return True
     return False

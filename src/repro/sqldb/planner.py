@@ -32,7 +32,7 @@ SQLBarber uses as its "execution plan cost" optimization target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from . import ast_nodes as ast
 from . import cost as costs
@@ -86,22 +86,10 @@ NodeFn = Callable[[dict], PlanNode]
 StackFn = Callable[[PlanNode, dict], PlanNode]
 
 
-def shallow_walk(expression: ast.Node) -> Iterator[ast.Node]:
-    """Walk an expression without descending into nested SELECTs."""
-    yield expression
-    if isinstance(expression, ast.SelectStatement):
-        return
-    for child in expression.children():
-        if isinstance(child, ast.SelectStatement):
-            yield child  # yield the statement itself but not its innards
-        else:
-            yield from shallow_walk(child)
-
-
 def bindings_of(expression: ast.Expression) -> frozenset[str]:
     """The FROM-clause bindings referenced by *expression* (outer query only)."""
     found = set()
-    for node in shallow_walk(expression):
+    for node in ast.shallow_walk(expression):
         if isinstance(node, ast.ColumnRef) and node.table:
             found.add(node.table)
     return frozenset(found)
@@ -449,7 +437,7 @@ class Planner:
         (see :class:`_QueryContext`)."""
         subqueries: dict[int, tuple[str, PlanSkeleton]] = {}
         for clause in clauses:
-            for node in shallow_walk(clause):
+            for node in ast.shallow_walk(clause):
                 kind = _SUBQUERY_KINDS.get(type(node))
                 if kind is not None:
                     subqueries[id(node)] = (
@@ -989,7 +977,7 @@ def _needs_aggregation(statement: ast.SelectStatement) -> bool:
         clause_exprs.append(statement.having)
     clause_exprs.extend(o.expression for o in statement.order_by)
     for expression in clause_exprs:
-        for node in shallow_walk(expression):
+        for node in ast.shallow_walk(expression):
             if isinstance(node, ast.FunctionCall) and node.is_aggregate:
                 return True
     return False
@@ -1077,7 +1065,7 @@ def _collect_aggregates(statement: ast.SelectStatement) -> list[ast.FunctionCall
         clauses.append(statement.having)
     clauses.extend(o.expression for o in statement.order_by)
     for clause in clauses:
-        for node in shallow_walk(clause):
+        for node in ast.shallow_walk(clause):
             if isinstance(node, ast.FunctionCall) and node.is_aggregate:
                 calls.append(node)
     return calls

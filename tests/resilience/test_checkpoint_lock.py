@@ -1,16 +1,16 @@
 """Directory locking for checkpoint directories.
 
-Covers the lock protocol in isolation (atomic create, contention, stale
-takeover, lost-lock release), the CheckpointManager integration
-(acquire-on-construct, heartbeat-on-save, close), and the barber-level
-behavior (lock held during generate_workload, released on every exit
-path including an injected crash).
+Covers the lock in isolation (contention, a contender paused across a
+release, a SIGKILLed holder, leftover lockfile content, release), the
+CheckpointManager integration (acquire-on-construct, a live holder 301 s
+on, no lock I/O on save, close), and the barber-level behavior (lock
+held during generate_workload, released on every exit path including an
+injected crash).
 """
 
+import fcntl
 import json
 import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -31,13 +31,27 @@ def lock_dir(tmp_path):
     return tmp_path / "ckpt"
 
 
+#: A holder in another process: takes the lock, says so, then waits to die.
+HOLD_LOCK = """
+import sys, time
+from repro.resilience import DirectoryLock
+lock = DirectoryLock(sys.argv[1], owner="doomed").acquire()
+print("ready", flush=True)
+time.sleep(120)
+"""
+
+
+def assert_free(directory) -> None:
+    """A fresh lock on *directory* acquires: nobody holds it."""
+    DirectoryLock(directory, owner="probe").acquire().release()
+
+
 class TestDirectoryLock:
     def test_acquire_creates_lockfile(self, lock_dir):
         lock = DirectoryLock(lock_dir, owner="t1").acquire()
         holder = json.loads(lock.path.read_text())
         assert holder["owner"] == "t1"
         assert holder["pid"] == os.getpid()
-        assert holder["token"] == lock.token
         assert lock.held
 
     def test_live_holder_blocks_second_acquire(self, lock_dir):
@@ -49,15 +63,34 @@ class TestDirectoryLock:
     def test_release_then_reacquire(self, lock_dir):
         first = DirectoryLock(lock_dir, owner="a").acquire()
         assert first.release() is True
-        assert not first.path.exists()
         second = DirectoryLock(lock_dir, owner="b").acquire()
-        assert second.takeover_reason is None
+        assert json.loads(second.path.read_text())["owner"] == "b"
         second.release()
+
+    def test_contender_paused_across_a_release_never_makes_two_holders(
+        self, lock_dir
+    ):
+        # A contender that opened lock.json just before a release reaches
+        # flock after a newcomer acquired: both lock the one file, so only
+        # one holds it.  Unlinking on release would give them two files.
+        holder = DirectoryLock(lock_dir, owner="holder").acquire()
+        paused = os.open(holder.path, os.O_RDWR)
+        try:
+            holder.release()
+            newcomer = DirectoryLock(lock_dir, owner="newcomer").acquire()
+            with pytest.raises(BlockingIOError):
+                fcntl.flock(paused, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            newcomer.release()
+        finally:
+            os.close(paused)
 
     def test_context_manager(self, lock_dir):
         with DirectoryLock(lock_dir, owner="ctx") as lock:
-            assert lock.path.exists()
-        assert not lock.path.exists()
+            assert lock.held
+            with pytest.raises(LockHeld):
+                DirectoryLock(lock_dir, owner="other").acquire()
+        assert not lock.held
+        assert_free(lock_dir)
 
     def test_double_acquire_same_object_rejected(self, lock_dir):
         lock = DirectoryLock(lock_dir, owner="x").acquire()
@@ -65,91 +98,80 @@ class TestDirectoryLock:
             lock.acquire()
         lock.release()
 
-    def test_dead_pid_is_taken_over(self, lock_dir):
-        # A real process that has already exited: its pid is provably dead
-        # (pid reuse inside one test run is effectively impossible).
-        proc = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
+    def test_dead_pid_is_taken_over(self, lock_dir, spawn_holder):
+        # SIGKILL runs no cleanup in the holder: the kernel frees its lock
+        # the moment the process dies, with no staleness rule to wait on.
+        holder = spawn_holder(HOLD_LOCK, lock_dir)
+        with pytest.raises(LockHeld) as excinfo:
+            DirectoryLock(lock_dir, owner="survivor").acquire()
+        assert excinfo.value.holder == {"owner": "doomed", "pid": holder.pid}
+        assert str(excinfo.value) == (
+            f"{lock_dir / DirectoryLock.LOCK_NAME} is held by "
+            f"owner='doomed' pid={holder.pid}"
         )
-        dead_pid = int(proc.stdout)
-        lock_dir.mkdir(parents=True)
-        (lock_dir / DirectoryLock.LOCK_NAME).write_text(
-            json.dumps(
-                {
-                    "owner": "crashed",
-                    "pid": dead_pid,
-                    "token": f"{dead_pid}.1",
-                    "heartbeat_unix": time.time(),
-                }
-            )
-        )
+        holder.kill()
+        holder.wait(timeout=30)
         lock = DirectoryLock(lock_dir, owner="survivor").acquire()
-        assert lock.takeover_reason == f"holder pid {dead_pid} is dead"
-        assert json.loads(lock.path.read_text())["owner"] == "survivor"
+        assert json.loads(lock.path.read_text()) == {
+            "owner": "survivor",
+            "pid": os.getpid(),
+        }
         lock.release()
-
-    def test_expired_heartbeat_is_taken_over(self, lock_dir):
-        holder = DirectoryLock(lock_dir, owner="slow").acquire()
-        stale = json.loads(holder.path.read_text())
-        stale["heartbeat_unix"] = time.time() - 1000.0
-        holder.path.write_text(json.dumps(stale))
-        thief = DirectoryLock(
-            lock_dir, owner="thief", stale_after_seconds=5.0
-        ).acquire()
-        assert "heartbeat" in thief.takeover_reason
-        thief.release()
 
     def test_corrupt_lockfile_is_taken_over(self, lock_dir):
         lock_dir.mkdir(parents=True)
         (lock_dir / DirectoryLock.LOCK_NAME).write_text("{not json")
         lock = DirectoryLock(lock_dir, owner="fixer").acquire()
-        assert lock.takeover_reason == "corrupt lockfile"
+        assert json.loads(lock.path.read_text())["owner"] == "fixer"
         lock.release()
 
-    def test_heartbeat_refreshes_timestamp(self, lock_dir):
-        lock = DirectoryLock(lock_dir, owner="hb").acquire()
-        before = json.loads(lock.path.read_text())["heartbeat_unix"]
-        time.sleep(0.01)
-        lock.heartbeat()
-        after = json.loads(lock.path.read_text())["heartbeat_unix"]
-        assert after > before
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # The former protocol's payload, naming this live process
+            # with a fresh heartbeat: it described a holder, it is not one.
+            lambda: json.dumps(
+                {
+                    "owner": "old",
+                    "pid": os.getpid(),
+                    "token": f"{os.getpid()}.1",
+                    "heartbeat_unix": time.time(),
+                }
+            ),
+            lambda: json.dumps({"owner": "init", "pid": 1}),
+            lambda: "[1, 2]",
+            lambda: "",
+        ],
+        ids=["former-protocol-live-pid", "live-pid", "not-an-object", "empty"],
+    )
+    def test_leftover_lockfile_content_never_blocks(self, lock_dir, content):
+        lock_dir.mkdir(parents=True)
+        (lock_dir / DirectoryLock.LOCK_NAME).write_text(content())
+        lock = DirectoryLock(lock_dir, owner="next").acquire()
+        # The whole file is ours: no byte of the longer old payload left.
+        assert json.loads(lock.path.read_text()) == {
+            "owner": "next",
+            "pid": os.getpid(),
+        }
+        with pytest.raises(LockHeld) as excinfo:
+            DirectoryLock(lock_dir, owner="late").acquire()
+        assert excinfo.value.holder["owner"] == "next"
         lock.release()
 
     def test_lost_lock_release_is_silent_noop(self, lock_dir):
-        # Our heartbeat expired and someone else took over: release must
-        # not delete the new holder's lockfile, and must not raise (it
-        # runs in finally blocks).
-        victim = DirectoryLock(
-            lock_dir, owner="victim", stale_after_seconds=5.0
-        ).acquire()
-        stale = json.loads(victim.path.read_text())
-        stale["heartbeat_unix"] = time.time() - 1000.0
-        victim.path.write_text(json.dumps(stale))
-        thief = DirectoryLock(
-            lock_dir, owner="thief", stale_after_seconds=5.0
-        ).acquire()
-        assert victim.release() is False
-        assert json.loads(thief.path.read_text())["owner"] == "thief"
-        thief.release()
-
-    def test_lost_lock_heartbeat_raises(self, lock_dir):
-        victim = DirectoryLock(lock_dir, owner="victim").acquire()
-        victim.path.unlink()
-        DirectoryLock(lock_dir, owner="thief").acquire()
-        with pytest.raises(LockError, match="taken over"):
-            victim.heartbeat()
-        assert not victim.held
-
-    def test_break_lock_removes_any_holder(self, lock_dir):
-        DirectoryLock(lock_dir, owner="gone").acquire()
-        supervisor = DirectoryLock(lock_dir, owner="supervisor")
-        assert supervisor.break_lock() is True
-        assert supervisor.break_lock() is False
-        supervisor.acquire()
-        supervisor.release()
+        # release runs in finally blocks: on a lock it does not hold it
+        # returns False, never raises, and never frees another holder.
+        assert DirectoryLock(lock_dir, owner="never").release() is False
+        holder = DirectoryLock(lock_dir, owner="holder").acquire()
+        loser = DirectoryLock(lock_dir, owner="loser")
+        with pytest.raises(LockHeld):
+            loser.acquire()
+        assert loser.release() is False
+        with pytest.raises(LockHeld):
+            DirectoryLock(lock_dir, owner="third").acquire()
+        assert holder.release() is True
+        assert holder.release() is False
+        assert_free(lock_dir)
 
 
 class TestManagerIntegration:
@@ -159,9 +181,9 @@ class TestManagerIntegration:
         with pytest.raises(LockHeld):
             CheckpointManager(lock_dir, "key", lock_owner="m2")
         manager.close()
-        assert not (lock_dir / DirectoryLock.LOCK_NAME).exists()
         second = CheckpointManager(lock_dir, "key", lock_owner="m2")
         second.close()
+        assert_free(lock_dir)
 
     def test_lockless_manager_unchanged(self, lock_dir):
         manager = CheckpointManager(lock_dir, "key")
@@ -169,17 +191,30 @@ class TestManagerIntegration:
         assert not (lock_dir / DirectoryLock.LOCK_NAME).exists()
         manager.close()  # no-op
 
-    def test_save_heartbeats(self, lock_dir):
-        manager = CheckpointManager(lock_dir, "key", lock_owner="m")
-        before = json.loads(
-            (lock_dir / DirectoryLock.LOCK_NAME).read_text()
-        )["heartbeat_unix"]
-        time.sleep(0.01)
+    def test_live_holder_is_never_taken_over(self, lock_dir, monkeypatch):
+        manager = CheckpointManager(lock_dir, "key", lock_owner="m1")
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 301.0)
+        with pytest.raises(LockHeld) as excinfo:
+            CheckpointManager(lock_dir, "key", lock_owner="m2")
+        assert excinfo.value.holder["owner"] == "m1"
         manager.save({"stage": "templates"})
-        after = json.loads(
-            (lock_dir / DirectoryLock.LOCK_NAME).read_text()
-        )["heartbeat_unix"]
-        assert after > before
+        assert manager.lock.held
+        manager.close()
+
+    def test_save_leaves_lockfile_untouched(self, lock_dir):
+        manager = CheckpointManager(lock_dir, "key", lock_owner="m")
+        lockfile = lock_dir / DirectoryLock.LOCK_NAME
+
+        def observed():
+            stat = lockfile.stat()
+            return lockfile.read_bytes(), stat.st_mtime_ns, stat.st_ino
+
+        before = observed()
+        for stage in ("templates", "profile", "refine"):
+            time.sleep(0.02)  # past the filesystem's timestamp granularity
+            manager.save({"stage": stage})
+            assert observed() == before
         manager.close()
 
 
@@ -200,7 +235,7 @@ class TestBarberIntegration:
             tiny_specs, tiny_distribution, checkpoint_dir=str(ckpt)
         )
         assert (ckpt / "checkpoint.jsonl").exists()
-        assert not (ckpt / DirectoryLock.LOCK_NAME).exists()
+        assert_free(ckpt)
 
     def test_concurrent_run_rejected(
         self, chaos_db, tiny_specs, tiny_distribution, tmp_path
@@ -234,7 +269,7 @@ class TestBarberIntegration:
                 on_checkpoint_save=kill_after_first,
             )
         # The crash path released the lock, so resume acquires cleanly.
-        assert not (ckpt / DirectoryLock.LOCK_NAME).exists()
+        assert_free(ckpt)
         resumed = self._barber(chaos_db).generate_workload(
             tiny_specs,
             tiny_distribution,

@@ -1,19 +1,16 @@
 """DirectoryLock contention during recovery: one winner, ever.
 
-The takeover protocol is replace-then-verify: a contender that finds a
-stale holder writes its own payload over the lockfile, reads it back,
-and claims victory only if its token survived.  These tests pin the
-race down deterministically — a barrier holds every contender at the
-moment *between* replace and verify, the exact window where two
-simultaneous stealers overlap — and assert the protocol's contract:
-exactly one winner, every loser gets a clean :class:`LockHeld`.
+A barrier releases every contender into ``acquire`` (or
+``ServeCore.recover``) at once, with nothing in the lock patched: the
+kernel's ``flock`` lets exactly one through and every loser gets a clean
+:class:`LockHeld`.  A service killed with SIGKILL holds nothing: the
+next recovery comes up at once.
 """
 
 import json
-import subprocess
+import os
 import sys
 import threading
-import time
 
 import pytest
 
@@ -21,161 +18,147 @@ from repro.resilience import DirectoryLock, LockHeld
 from repro.serve import ServeConfig, ServeCore, TenantQuota
 
 
-def dead_pid() -> int:
-    """A pid that provably belonged to an already-exited process."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import os; print(os.getpid())"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return int(proc.stdout)
-
-
-def write_dead_holder(directory, pid: int) -> None:
-    """The lockfile a service that died mid-flight leaves behind."""
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / DirectoryLock.LOCK_NAME).write_text(
-        json.dumps(
-            {
-                "owner": "dead-service",
-                "pid": pid,
-                "token": f"{pid}.1",
-                "heartbeat_unix": time.time(),
-            }
-        )
-    )
-
-
-class BarrierLock(DirectoryLock):
-    """A lock forced through the worst legal takeover interleaving:
-    every contender observes the stale holder before any of them
-    replaces it, and every replace lands before any verify runs."""
-
-    def __init__(self, *args, barrier: threading.Barrier, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._barrier = barrier
-
-    def _staleness(self, holder: dict) -> str | None:
-        reason = super()._staleness(holder)
-        if reason is not None:
-            self._barrier.wait(timeout=10.0)
-        return reason
-
-    def _write_over(self) -> None:
-        super()._write_over()
-        self._barrier.wait(timeout=10.0)
-
-
-def race(contenders):
-    """Run every contender's acquire concurrently; collect outcomes."""
+def race(count: int, attempt) -> dict:
+    """Release *count* threads at once into ``attempt(index)``; collect
+    each one's result, or the :class:`LockHeld` it raised."""
+    barrier = threading.Barrier(count)
     outcomes: dict[int, object] = {}
 
-    def attempt(index, lock):
+    def run(index):
+        barrier.wait(timeout=10.0)
         try:
-            lock.acquire()
-            outcomes[index] = lock
+            outcomes[index] = attempt(index)
         except LockHeld as error:
             outcomes[index] = error
 
     threads = [
-        threading.Thread(target=attempt, args=(i, lock), daemon=True)
-        for i, lock in enumerate(contenders)
+        threading.Thread(target=run, args=(i,), daemon=True)
+        for i in range(count)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout=30.0)
-    assert len(outcomes) == len(contenders), "a contender never finished"
+        thread.join(timeout=60.0)
+    assert not any(t.is_alive() for t in threads), "a contender never finished"
+    assert len(outcomes) == count
     return outcomes
+
+
+def split(outcomes: dict, kind) -> tuple[list, list]:
+    winners = [o for o in outcomes.values() if isinstance(o, kind)]
+    losers = [o for o in outcomes.values() if isinstance(o, LockHeld)]
+    return winners, losers
+
+
+def serve_config(tmp_path) -> ServeConfig:
+    return ServeConfig(
+        workers=1,
+        checkpoint_root=str(tmp_path / "ckpts"),
+        state_dir=str(tmp_path / "state"),
+        journal_fsync="off",
+        default_quota=TenantQuota(max_queued_jobs=16),
+    )
+
+
+#: A whole service in another process: journals one accepted job, says
+#: so, then waits to die.
+SERVICE_WITH_ONE_JOB = """
+import sys, time
+from repro.serve import ServeConfig, ServeCore, TenantQuota
+config = ServeConfig(
+    workers=1,
+    checkpoint_root=sys.argv[2],
+    state_dir=sys.argv[1],
+    journal_fsync="off",
+    default_quota=TenantQuota(max_queued_jobs=16),
+)
+core = ServeCore(config, store=ServeCore.open_store(config))
+status, _ = core.submit(
+    {"tenant": "acme", "specs": [{"num_joins": 1}], "seed": 1}
+)
+assert status == 202, status
+print("ready", flush=True)
+time.sleep(120)
+"""
 
 
 class TestTakeoverRace:
     def test_two_racing_stealers_one_winner_one_lockheld(self, tmp_path):
-        write_dead_holder(tmp_path, dead_pid())
-        barrier = threading.Barrier(2)
-        contenders = [
-            BarrierLock(tmp_path, owner=f"stealer-{i}", barrier=barrier)
-            for i in range(2)
-        ]
-        outcomes = race(contenders)
-
-        winners = [o for o in outcomes.values() if isinstance(o, DirectoryLock)]
-        losers = [o for o in outcomes.values() if isinstance(o, LockHeld)]
-        assert len(winners) == 1 and len(losers) == 1
-        winner, loser = winners[0], losers[0]
-        # The winner's token is on disk and it knows why it took over.
-        assert json.loads(winner.path.read_text())["token"] == winner.token
-        assert "dead" in winner.takeover_reason
-        # The loser saw the *winner's* payload, dropped its claim, and
-        # can release harmlessly without touching the winner's file.
-        assert loser.holder.get("token") == winner.token
-        losing_lock = next(
-            c for c in contenders if c.token != winner.token
+        # A dead holder's payload is left over: it blocks nobody.
+        (tmp_path / DirectoryLock.LOCK_NAME).write_text(
+            json.dumps({"owner": "dead-service", "pid": 999_999})
         )
+        contenders = [
+            DirectoryLock(tmp_path, owner=f"stealer-{i}") for i in range(2)
+        ]
+        winners, losers = split(
+            race(2, lambda i: contenders[i].acquire()), DirectoryLock
+        )
+        assert len(winners) == 1 and len(losers) == 1
+        winner = winners[0]
+        assert json.loads(winner.path.read_text()) == {
+            "owner": winner.owner,
+            "pid": os.getpid(),
+        }
+        # The loser holds nothing, and its release leaves the winner's
+        # lock in place.
+        losing_lock = next(c for c in contenders if c is not winner)
         assert losing_lock.held is False
         assert losing_lock.release() is False
-        assert winner.path.exists()
+        with pytest.raises(LockHeld) as excinfo:
+            DirectoryLock(tmp_path, owner="late").acquire()
+        assert excinfo.value.holder["owner"] == winner.owner
         winner.release()
 
     def test_crowd_of_stealers_still_one_winner(self, tmp_path):
-        count = 5
-        write_dead_holder(tmp_path, dead_pid())
-        barrier = threading.Barrier(count)
-        outcomes = race(
-            [
-                BarrierLock(tmp_path, owner=f"s{i}", barrier=barrier)
-                for i in range(count)
-            ]
-        )
-        winners = [o for o in outcomes.values() if isinstance(o, DirectoryLock)]
-        losers = [o for o in outcomes.values() if isinstance(o, LockHeld)]
-        assert len(winners) == 1
-        assert len(losers) == count - 1
-        surviving = json.loads(winners[0].path.read_text())["token"]
-        assert surviving == winners[0].token
-        winners[0].release()
+        # More contenders than cores and a short switch interval, round
+        # after round: every round has exactly one winner.
+        count, rounds = 8, 20
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(rounds):
+                winners, losers = split(
+                    race(
+                        count,
+                        lambda i: DirectoryLock(
+                            tmp_path, owner=f"r{round_index}-s{i}"
+                        ).acquire(),
+                    ),
+                    DirectoryLock,
+                )
+                assert len(winners) == 1, round_index
+                assert len(losers) == count - 1
+                on_disk = json.loads(winners[0].path.read_text())["owner"]
+                assert on_disk == winners[0].owner
+                winners[0].release()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReplaceThenVerify:
-    def test_contender_that_loses_the_write_window_gets_lockheld(
-        self, tmp_path
-    ):
-        """Single-threaded replay of the loser's exact path: after our
-        replace but before our verify, a rival completes its own replace
-        — our verify must concede, not claim."""
-        write_dead_holder(tmp_path, dead_pid())
-        rival = DirectoryLock(tmp_path, owner="rival")
-
-        class LosingLock(DirectoryLock):
-            def _write_over(self):
-                super()._write_over()
-                rival.token = "rival-token"
-                DirectoryLock._write_over(rival)
-
-        loser = LosingLock(tmp_path, owner="loser")
-        with pytest.raises(LockHeld) as excinfo:
-            loser.acquire()
-        assert excinfo.value.holder["token"] == "rival-token"
-        assert loser.held is False
-        # The rival's payload is untouched by the loser's exit path.
-        assert json.loads(rival.path.read_text())["owner"] == "rival"
-
     def test_crashed_mid_takeover_holder_is_taken_over_cleanly(
-        self, tmp_path
+        self, tmp_path, spawn_holder
     ):
-        """A stealer that died between replace and verify leaves its own
-        payload with a now-dead pid — the next contender must treat that
-        exactly like any other dead holder."""
-        pid = dead_pid()
-        # What a mid-takeover crash leaves: the *stealer's* payload
-        # (token written, victory never verified), holder process gone.
-        write_dead_holder(tmp_path, pid)
-        lock = DirectoryLock(tmp_path, owner="next").acquire()
-        assert lock.takeover_reason == f"holder pid {pid} is dead"
-        assert json.loads(lock.path.read_text())["owner"] == "next"
-        lock.release()
-        assert not lock.path.exists()
+        """A service SIGKILLed with a journaled job: while it lives,
+        recovery gets LockHeld naming it; the moment it dies, recovery
+        comes up and owes the job."""
+        config = serve_config(tmp_path)
+        service = spawn_holder(
+            SERVICE_WITH_ONE_JOB, config.state_dir, config.checkpoint_root
+        )
+        with pytest.raises(LockHeld) as excinfo:
+            ServeCore.recover(config)
+        assert excinfo.value.holder == {"owner": "serve", "pid": service.pid}
+        service.kill()
+        service.wait(timeout=30)
+        recovered = ServeCore.recover(config)
+        try:
+            assert recovered.recovery["records_replayed"] >= 1
+            assert len(recovered.jobs) == 1
+            assert recovered.audit_lost_jobs() == []
+        finally:
+            recovered.close()
 
 
 class TestRecoveryContention:
@@ -183,62 +166,17 @@ class TestRecoveryContention:
         """Two supervisors restart the same dead service concurrently:
         exactly one recovery wins the state dir, the other gets a clean
         LockHeld — never two services journaling into one directory."""
-        config = ServeConfig(
-            workers=1,
-            checkpoint_root=str(tmp_path / "ckpts"),
-            state_dir=str(tmp_path / "state"),
-            journal_fsync="off",
-            default_quota=TenantQuota(max_queued_jobs=16),
-        )
+        config = serve_config(tmp_path)
         core = ServeCore(config, store=ServeCore.open_store(config))
         status, _ = core.submit(
             {"tenant": "acme", "specs": [{"num_joins": 1}], "seed": 1}
         )
         assert status == 202
         core.close()
-        # The dead service's lockfile (its pid no longer runs).
-        write_dead_holder(tmp_path / "state", dead_pid())
 
-        barrier = threading.Barrier(2)
-        original_write = DirectoryLock._write_over
-        original_staleness = DirectoryLock._staleness
-
-        def synchronized_write(self):
-            original_write(self)
-            barrier.wait(timeout=10.0)
-
-        def synchronized_staleness(self, holder):
-            reason = original_staleness(self, holder)
-            if reason is not None:
-                barrier.wait(timeout=10.0)
-            return reason
-
-        outcomes: dict[int, object] = {}
-
-        def recover(index):
-            try:
-                outcomes[index] = ServeCore.recover(config)
-            except LockHeld as error:
-                outcomes[index] = error
-
-        DirectoryLock._write_over = synchronized_write
-        DirectoryLock._staleness = synchronized_staleness
-        try:
-            threads = [
-                threading.Thread(target=recover, args=(i,), daemon=True)
-                for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            DirectoryLock._write_over = original_write
-            DirectoryLock._staleness = original_staleness
-
-        assert len(outcomes) == 2, "a recovery never finished"
-        cores = [o for o in outcomes.values() if isinstance(o, ServeCore)]
-        held = [o for o in outcomes.values() if isinstance(o, LockHeld)]
+        cores, held = split(
+            race(2, lambda _i: ServeCore.recover(config)), ServeCore
+        )
         assert len(cores) == 1 and len(held) == 1
         winner = cores[0]
         try:

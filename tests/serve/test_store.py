@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -77,10 +78,10 @@ class TestAppendRecover:
         store.close()
         reopened = open_store(tmp_path / "s")
         reopened.append("submitted", {"i": 1})
-        third = open_store(tmp_path / "s", takeover=True)
+        reopened.close()
+        third = open_store(tmp_path / "s")
         _snapshot, records, _q = third.recover()
         third.close()
-        reopened.close()
         # Each process lifetime owns its own segment file.
         assert [r["d"]["i"] for r in records] == [0, 1]
 
@@ -107,11 +108,16 @@ class TestLocking:
             open_store(tmp_path / "s")
         store.close()
 
-    def test_takeover_breaks_a_same_pid_lock(self, tmp_path):
-        store = open_store(tmp_path / "s")
-        taken = open_store(tmp_path / "s", takeover=True)
-        taken.close()
-        store.close()
+    def test_live_holder_is_never_taken_over(self, tmp_path, monkeypatch):
+        first = open_store(tmp_path / "s", owner="service-1")
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 301.0)
+        with pytest.raises(LockHeld) as excinfo:
+            open_store(tmp_path / "s", owner="service-2")
+        assert excinfo.value.holder["owner"] == "service-1"
+        assert first.lock.held
+        first.append("submitted", {"i": 0})
+        first.close()
 
     def test_close_is_idempotent_and_releases(self, tmp_path):
         store = open_store(tmp_path / "s")

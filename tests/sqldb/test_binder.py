@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fuzz.runner import build_fuzz_database
 from repro.sqldb import SqlType
 from repro.sqldb.binder import Binder
 from repro.sqldb.errors import BindError
@@ -168,6 +169,59 @@ class TestSubqueries:
             "SELECT sub.c FROM (SELECT count(*) AS c FROM users) sub",
         )
         assert bound.output_types == [SqlType.BIGINT]
+
+
+@pytest.fixture(scope="module")
+def fuzz_db():
+    return build_fuzz_database(0)
+
+
+def rows(db, sql):
+    return list(db.execute(sql).table.rows())
+
+
+class TestAggregateInsideScalarSubquery:
+    """An aggregate inside a scalar subquery in the select list belongs to
+    the subquery: the outer query is not aggregated by it."""
+
+    def test_subquery_value_beside_plain_column(self, fuzz_db):
+        (maximum,), = rows(fuzz_db, "SELECT max(i.price) FROM items i")
+        got = rows(
+            fuzz_db,
+            "SELECT o.order_id, (SELECT max(i.price) FROM items i) "
+            "FROM orders o",
+        )
+        order_ids = [r[0] for r in rows(fuzz_db, "SELECT o.order_id FROM orders o")]
+        assert [r[0] for r in got] == order_ids
+        assert {r[1] for r in got} == {maximum}
+
+    def test_comparison_with_subquery_beside_plain_column(self, fuzz_db):
+        (average,), = rows(fuzz_db, "SELECT avg(i.price) FROM items i")
+        got = rows(
+            fuzz_db,
+            "SELECT o.order_id, o.amount > (SELECT avg(i.price) FROM items i) "
+            "FROM orders o",
+        )
+        expected = [
+            (order_id, None if amount is None else amount > average)
+            for order_id, amount in rows(
+                fuzz_db, "SELECT o.order_id, o.amount FROM orders o"
+            )
+        ]
+        assert got == expected
+        assert {r[1] for r in got} == {None, True, False}
+
+    def test_count_star_beside_subquery_still_aggregates(self, fuzz_db):
+        (maximum,), = rows(fuzz_db, "SELECT max(i.price) FROM items i")
+        (orders,), = rows(fuzz_db, "SELECT count(*) FROM orders o")
+        assert rows(
+            fuzz_db,
+            "SELECT count(*), (SELECT max(i.price) FROM items i) FROM orders o",
+        ) == [(orders, maximum)]
+
+    def test_outer_aggregate_beside_plain_column_still_rejected(self, fuzz_db):
+        with pytest.raises(BindError, match="GROUP BY"):
+            fuzz_db.execute("SELECT o.order_id, max(o.amount) FROM orders o")
 
 
 class TestOrderByBinding:

@@ -1,11 +1,13 @@
 """The command-line interface."""
 
 import json
+import os
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.resilience import DirectoryLock
 
 
 class TestParser:
@@ -223,6 +225,54 @@ class TestCommands:
         assert len(errors) == 1, captured.err
         assert errors[0].startswith("repro: error: --specs-file:")
         assert message in errors[0]
+
+
+class TestHeldDirectories:
+    """A directory another holder has locked is a usage error: one
+    ``repro: error:`` line naming the holder, exit 2, no traceback."""
+
+    @staticmethod
+    def assert_held_error(captured, directory, owner):
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro: error:")
+        ]
+        assert errors == [
+            f"repro: error: {directory / DirectoryLock.LOCK_NAME} is held "
+            f"by owner={owner!r} pid={os.getpid()}"
+        ], captured.err
+
+    def test_generate_checkpoint_dir_held(self, capsys, tmp_path):
+        held = tmp_path / "ckpt"
+        with DirectoryLock(held, owner="other-run"):
+            code = main([
+                "generate", "--db", "tpch", "--scale", "0.002",
+                "--queries", "12", "--intervals", "3",
+                "--checkpoint-dir", str(held),
+            ])
+        assert code == 2
+        self.assert_held_error(capsys.readouterr(), held, "other-run")
+        assert not (held / "checkpoint.jsonl").exists()
+
+    def test_serve_state_dir_held(self, capsys, tmp_path, monkeypatch):
+        import repro.serve
+
+        class NoServer:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a port was about to be bound")
+
+        monkeypatch.setattr(repro.serve, "ServeServer", NoServer)
+        held = tmp_path / "state"
+        with DirectoryLock(held, owner="service-1"):
+            code = main([
+                "serve", "--port", "0", "--state-dir", str(held),
+                "--journal-fsync", "off",
+            ])
+        assert code == 2
+        self.assert_held_error(capsys.readouterr(), held, "service-1")
+        assert not any(p.name.startswith("journal-") for p in held.iterdir())
 
 
 class TestFuzz:
